@@ -16,6 +16,7 @@
 #include "minif/fparser.hpp"
 #include "minif/ftrees.hpp"
 #include "support/compress.hpp"
+#include "support/pipeline.hpp"
 #include "support/strings.hpp"
 #include "text/text.hpp"
 
@@ -356,7 +357,6 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
   pipe.stage<2>("lower", [](UnitWork &&w, usize) { return unitLower(std::move(w)); });
   pipe.stage<3>("sign", [](UnitWork &&w, usize) { return unitSign(std::move(w)); });
   PipeOptions pipeOptions;
-  pipeOptions.mode = options.mode;
   pipeOptions.threads = options.threads;
   auto units = pipe.run(std::move(work), pipeOptions);
 

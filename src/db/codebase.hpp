@@ -13,7 +13,6 @@
 #include "db/compiledb.hpp"
 #include "lang/source.hpp"
 #include "lint/lint.hpp"
-#include "support/pipeline.hpp"
 #include "tree/tedbounds.hpp"
 #include "tree/tree.hpp"
 #include "vm/vm.hpp"
@@ -98,14 +97,9 @@ struct IndexOptions {
   /// bench/irlint_bench.cpp and bench/deps_bench.cpp track the cost).
   bool runLint = false;
   vm::RunOptions vmOptions;
-  /// How the per-unit stage pipeline executes (support/pipeline.hpp):
-  /// Streaming runs frontend → trees → lower → sign as a work-stealing task
-  /// graph (unit A can be in lowering while unit B is still in sema),
-  /// Barrier replays the classic full-width phase-barrier schedule. Both
-  /// produce byte-identical DBs — results land in per-unit slots.
-  ExecMode mode = defaultExecMode();
-  /// Worker count for the stage pipeline (0 = configureThreads /
-  /// SV_THREADS / hardware default).
+  /// Worker count for the frontend → trees → lower → sign stage pipeline
+  /// (support/pipeline.hpp; 0 = configureThreads / SV_THREADS / hardware
+  /// default). The DB bytes do not depend on it.
   usize threads = 0;
 };
 

@@ -35,11 +35,10 @@
 //               value-range analysis computed for the stores at that line
 //               (soundness); with --inject-range the seeded out-of-bounds
 //               and division-by-zero defects must both be reported
-//   pipeline    indexing the program (all lint tiers on) through the
-//               streaming task-graph schedule yields a byte-identical
-//               serialised DB to the barrier baseline, under seeded worker
-//               counts and seeded per-stage jitter — completion order must
-//               never leak into an output
+//   pipeline    indexing the program (all lint tiers on) at seeded 2–4
+//               workers yields a byte-identical serialised DB to the
+//               1-worker reference — completion order must never leak
+//               into an output
 #pragma once
 
 #include <optional>

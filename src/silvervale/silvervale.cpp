@@ -9,9 +9,7 @@
 #include "lint/depslint.hpp"
 #include "lint/irlint.hpp"
 #include "lint/rangelint.hpp"
-#include "support/parallel.hpp"
 #include "support/pipeline.hpp"
-#include "tree/tedengine.hpp"
 
 namespace sv::silvervale {
 
@@ -64,13 +62,12 @@ lint::Report lintCodebase(const db::Codebase &codebase, const LintOptions &optio
     return unit;
   });
   PipeOptions pipeOptions;
-  pipeOptions.mode = options.mode;
   pipeOptions.threads = options.threads;
   report.units = pipe.run(std::move(cmds), pipeOptions);
   return report;
 }
 
-DepsReport depsCodebase(const db::Codebase &codebase, ExecMode mode) {
+DepsReport depsCodebase(const db::Codebase &codebase) {
   DepsReport report;
   report.app = codebase.app;
   report.model = codebase.model;
@@ -89,9 +86,7 @@ DepsReport depsCodebase(const db::Codebase &codebase, ExecMode mode) {
     unit.deps = ir::analyzeModule(lowered.module, &ranges);
     return unit;
   });
-  PipeOptions pipeOptions;
-  pipeOptions.mode = mode;
-  report.units = pipe.run(std::move(cmds), pipeOptions);
+  report.units = pipe.run(std::move(cmds));
   return report;
 }
 
@@ -220,7 +215,7 @@ json::Value DepsReport::toJson() const {
   return json::Value(std::move(root));
 }
 
-RangeReport rangeCodebase(const db::Codebase &codebase, ExecMode mode) {
+RangeReport rangeCodebase(const db::Codebase &codebase) {
   RangeReport report;
   report.app = codebase.app;
   report.model = codebase.model;
@@ -248,9 +243,7 @@ RangeReport rangeCodebase(const db::Codebase &codebase, ExecMode mode) {
     unit.diags = lint::runRange(lowered.module);
     return unit;
   });
-  PipeOptions pipeOptions;
-  pipeOptions.mode = mode;
-  report.units = pipe.run(std::move(cmds), pipeOptions);
+  report.units = pipe.run(std::move(cmds));
   return report;
 }
 
@@ -324,14 +317,10 @@ json::Value RangeReport::toJson() const {
 
 namespace {
 
-/// Materialise the ports and index them. Streaming routes every port
-/// through ONE db::indexBatch call: the units of every port become a
-/// single item stream through the shared frontend→trees→lower→sign
-/// pipeline, so no port-level barrier remains and a slow port's tail unit
-/// never idles the workers. Barrier replays the classic schedule this
-/// replaced — parallelFor at PORT granularity, each port's units and
-/// stages strictly serial inside — which is also the regression baseline
-/// bench/pipeline_bench.cpp gates against. Outputs are byte-identical.
+/// Materialise the ports and index them through ONE db::indexBatch call:
+/// the units of every port become a single item stream through the shared
+/// frontend→trees→lower→sign pipeline, so no port-level barrier remains
+/// and a slow port's tail unit never idles the workers.
 std::vector<db::CodebaseDb> indexPorts(const std::vector<std::pair<std::string, std::string>> &jobs,
                                        const IndexAppOptions &options) {
   std::vector<db::Codebase> codebases;
@@ -339,23 +328,12 @@ std::vector<db::CodebaseDb> indexPorts(const std::vector<std::pair<std::string, 
   for (const auto &[app, model] : jobs) codebases.push_back(corpus::make(app, model));
   db::IndexOptions idx;
   idx.runCoverage = options.coverage;
-  idx.mode = options.mode;
   idx.threads = options.threads;
-
-  std::vector<db::CodebaseDb> out;
-  if (options.mode == ExecMode::Barrier) {
-    idx.threads = 1; // the classic schedule: all parallelism at port level
-    out.resize(codebases.size());
-    parallelFor(
-        codebases.size(),
-        [&](usize i) { out[i] = db::indexBatch({&codebases[i]}, idx).front().db; },
-        options.threads);
-    return out;
-  }
 
   std::vector<const db::Codebase *> ptrs;
   for (const auto &cb : codebases) ptrs.push_back(&cb);
   auto results = db::indexBatch(ptrs, idx);
+  std::vector<db::CodebaseDb> out;
   out.reserve(results.size());
   for (auto &r : results) out.push_back(std::move(r.db));
   return out;
@@ -413,7 +391,7 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
                                        const std::vector<const db::CodebaseDb *> &dbs,
                                        metrics::Metric metric, metrics::Variant variant,
                                        const tree::TedOptions &ted, double radius,
-                                       metrics::QueryStats *stats, ExecMode mode) {
+                                       metrics::QueryStats *stats) {
   analysis::DistanceMatrix m;
   m.labels = std::move(labels);
   const usize n = dbs.size();
@@ -467,58 +445,7 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
     }
     results[p] = std::max(dij, directed(j, i));
   };
-
-  // The exact tree-metric path through the engine can stream at unit-pair
-  // granularity: every matched unit-pair TED becomes its own task warming
-  // the symmetric pair memo, and a pair finalises (cheap memo replay) the
-  // moment its last TED lands — no pair ever waits behind an unrelated
-  // slow pair's whole entry. Arithmetic is unchanged, so the matrix is
-  // byte-identical to the barrier arm.
-  const bool streamUnits = mode == ExecMode::Streaming && !filter &&
-                           metrics::isTreeMetric(metric) && !variant.coverage && ted.useCache;
-  if (mode == ExecMode::Barrier) {
-    parallelFor(pairs.size(), pairBody);
-  } else if (!streamUnits) {
-    PipeOptions poolOptions;
-    poolOptions.mode = ExecMode::Streaming;
-    TaskPool pool("matrix-pairs");
-    pool.run(pairs.size(), pairBody, poolOptions);
-  } else {
-    struct TedItem {
-      usize pair = 0;
-      const tree::Tree *t1 = nullptr;
-      const tree::Tree *t2 = nullptr;
-    };
-    std::vector<TedItem> items;
-    std::vector<usize> matchedTrees(pairs.size(), 0);
-    for (usize p = 0; p < pairs.size(); ++p) {
-      const auto [i, j] = pairs[p];
-      for (const auto &[u1, u2] : metrics::matchUnits(*dbs[i], *dbs[j])) {
-        if (!u1 || !u2) continue;
-        items.push_back({p, &metrics::metricTree(*u1, metric, variant),
-                         &metrics::metricTree(*u2, metric, variant)});
-        ++matchedTrees[p];
-      }
-    }
-    std::vector<usize> unmatched; // pairs with no tree pair still need an entry
-    for (usize p = 0; p < pairs.size(); ++p)
-      if (matchedTrees[p] == 0) unmatched.push_back(p);
-    std::vector<std::atomic<usize>> remaining(pairs.size());
-    for (usize p = 0; p < pairs.size(); ++p) remaining[p].store(matchedTrees[p]);
-
-    PipeOptions poolOptions;
-    poolOptions.mode = ExecMode::Streaming;
-    TaskPool pool("matrix-pairs");
-    pool.run(items.size() + unmatched.size(), [&](usize k) {
-      if (k < items.size()) {
-        const auto &item = items[k];
-        (void)tree::tedDispatch(*item.t1, *item.t2, ted); // warm the pair memo
-        if (remaining[item.pair].fetch_sub(1) == 1) pairBody(item.pair);
-      } else {
-        pairBody(unmatched[k - items.size()]);
-      }
-    }, poolOptions);
-  }
+  TaskPool("matrix-pairs").run(pairs.size(), pairBody);
   for (usize p = 0; p < pairs.size(); ++p)
     m.set(pairs[p].first, pairs[p].second, results[p]);
 
@@ -535,22 +462,22 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
 
 analysis::DistanceMatrix divergenceMatrix(const IndexedApp &app, metrics::Metric metric,
                                           metrics::Variant variant,
-                                          const tree::TedOptions &ted, ExecMode mode) {
+                                          const tree::TedOptions &ted) {
   std::vector<const db::CodebaseDb *> dbs;
   for (const auto &m : app.models) dbs.push_back(&m);
-  return boundedMatrix(app.modelNames(), dbs, metric, variant, ted, /*radius=*/0, nullptr, mode);
+  return boundedMatrix(app.modelNames(), dbs, metric, variant, ted, /*radius=*/0, nullptr);
 }
 
 analysis::DistanceMatrix portMatrix(const std::vector<CorpusPort> &ports, metrics::Metric metric,
                                     metrics::Variant variant, const tree::TedOptions &ted,
-                                    double radius, metrics::QueryStats *stats, ExecMode mode) {
+                                    double radius, metrics::QueryStats *stats) {
   std::vector<std::string> labels;
   std::vector<const db::CodebaseDb *> dbs;
   for (const auto &p : ports) {
     labels.push_back(p.label);
     dbs.push_back(&p.db);
   }
-  return boundedMatrix(std::move(labels), dbs, metric, variant, ted, radius, stats, mode);
+  return boundedMatrix(std::move(labels), dbs, metric, variant, ted, radius, stats);
 }
 
 analysis::DistanceMatrix absoluteDifferenceMatrix(const IndexedApp &app, metrics::Metric metric,

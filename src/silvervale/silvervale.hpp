@@ -33,9 +33,6 @@ struct IndexAppOptions {
   bool coverage = false;
   /// Restrict to these models (empty = all registered ports).
   std::vector<std::string> models;
-  /// Stage-pipeline schedule for the underlying db::indexBatch (streaming
-  /// task graph vs classic phase barriers; byte-identical outputs).
-  ExecMode mode = defaultExecMode();
   /// Worker count for the pipeline (0 = configured/SV_THREADS/hardware).
   usize threads = 0;
 };
@@ -55,8 +52,7 @@ struct IndexAppOptions {
 [[nodiscard]] analysis::DistanceMatrix divergenceMatrix(const IndexedApp &app,
                                                         metrics::Metric metric,
                                                         metrics::Variant variant = {},
-                                                        const tree::TedOptions &ted = {},
-                                                        ExecMode mode = defaultExecMode());
+                                                        const tree::TedOptions &ted = {});
 
 /// One indexed port of the cross-app corpus, labelled "app/model".
 struct CorpusPort {
@@ -84,8 +80,7 @@ struct CorpusPort {
                                                   metrics::Variant variant = {},
                                                   const tree::TedOptions &ted = {},
                                                   double radius = 0,
-                                                  metrics::QueryStats *stats = nullptr,
-                                                  ExecMode mode = defaultExecMode());
+                                                  metrics::QueryStats *stats = nullptr);
 
 /// For the SLOC/LLOC pseudo-clustering of Fig 5/6: absolute values per
 /// model turned into |a - b| distances.
@@ -121,10 +116,8 @@ struct LintOptions {
   /// division-by-zero / dead-branch / zero-trip-loop verdicts from the
   /// interprocedural interval analysis over the SSA overlay.
   bool range = false;
-  /// parse→lint stage-pipeline schedule (streaming vs barrier; identical
-  /// reports either way — unit order in the report is input order).
-  ExecMode mode = defaultExecMode();
-  /// Worker count for the pipeline (0 = configured default).
+  /// Worker count for the parse→lint pipeline (0 = configured default).
+  /// Unit order in the report is input order at any count.
   usize threads = 0;
 };
 
@@ -155,8 +148,7 @@ struct DepsReport {
   [[nodiscard]] json::Value toJson() const;
 };
 
-[[nodiscard]] DepsReport depsCodebase(const db::Codebase &codebase,
-                                      ExecMode mode = defaultExecMode());
+[[nodiscard]] DepsReport depsCodebase(const db::Codebase &codebase);
 
 /// Per-function value-range summary of one port, for `svale range <app>
 /// [model]`: each unit lowered, the interprocedural analysis run, and every
@@ -185,7 +177,6 @@ struct RangeReport {
   [[nodiscard]] json::Value toJson() const;
 };
 
-[[nodiscard]] RangeReport rangeCodebase(const db::Codebase &codebase,
-                                        ExecMode mode = defaultExecMode());
+[[nodiscard]] RangeReport rangeCodebase(const db::Codebase &codebase);
 
 } // namespace sv::silvervale

@@ -27,6 +27,7 @@ public:
 private:
   std::string_view text_;
   usize pos_ = 0;
+  usize depth_ = 0; ///< containers currently open
 
   [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
   char next() {
@@ -58,8 +59,17 @@ private:
     skipWs();
     const char c = peek();
     switch (c) {
-    case '{': return parseObject();
-    case '[': return parseArray();
+    case '{':
+    case '[': {
+      // Containers parse by recursion: bound the depth so hostile input
+      // fails with a ParseError instead of exhausting the stack.
+      if (depth_ == kMaxNesting)
+        fail(pos_, "nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+      ++depth_;
+      Value v = c == '{' ? parseObject() : parseArray();
+      --depth_;
+      return v;
+    }
     case '"': return Value(parseString());
     case 't':
       if (consume("true")) return Value(true);

@@ -63,7 +63,11 @@ private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Deepest array/object nesting parse() accepts.
+inline constexpr usize kMaxNesting = 512;
+
+/// Parse a complete JSON document; trailing garbage and nesting deeper than
+/// kMaxNesting are errors.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Serialise; `indent` > 0 pretty-prints with that many spaces per level.

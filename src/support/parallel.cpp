@@ -79,70 +79,6 @@ void ThreadPool::workerLoop() {
 }
 
 // ---------------------------------------------------------------------------
-// TaskGroup
-
-struct TaskGroup::State {
-  std::mutex mutex;
-  std::condition_variable finished;
-  usize pending = 0;
-  std::vector<std::exception_ptr> errors;
-  usize errorTotal = 0;
-};
-
-TaskGroup::TaskGroup(ThreadPool &pool) : state_(std::make_shared<State>()), pool_(pool) {}
-
-TaskGroup::~TaskGroup() {
-  // Wait without throwing: anything unconsumed is counted, not lost.
-  std::unique_lock lock(state_->mutex);
-  state_->finished.wait(lock, [this] { return state_->pending == 0; });
-  noteSuppressedErrors(state_->errors.size());
-}
-
-void TaskGroup::submit(std::function<void()> task) {
-  {
-    const std::lock_guard lock(state_->mutex);
-    ++state_->pending;
-  }
-  // The wrapper owns the group state, so a task outliving the TaskGroup
-  // object is impossible to observe (the destructor waits) and exceptions
-  // never reach the pool's own collector.
-  pool_.submit([state = state_, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      const std::lock_guard lock(state->mutex);
-      state->errors.push_back(std::current_exception());
-      ++state->errorTotal;
-    }
-    bool done = false;
-    {
-      const std::lock_guard lock(state->mutex);
-      done = --state->pending == 0;
-    }
-    if (done) state->finished.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  std::exception_ptr first;
-  {
-    std::unique_lock lock(state_->mutex);
-    state_->finished.wait(lock, [this] { return state_->pending == 0; });
-    if (!state_->errors.empty()) {
-      first = state_->errors.front();
-      noteSuppressedErrors(state_->errors.size() - 1);
-      state_->errors.clear();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
-usize TaskGroup::errorCount() const {
-  const std::lock_guard lock(state_->mutex);
-  return state_->errorTotal;
-}
-
-// ---------------------------------------------------------------------------
 // parallelFor
 
 usize resolveThreadCount(usize explicitThreads, const char *envValue, usize hardware) {

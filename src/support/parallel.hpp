@@ -39,8 +39,8 @@ void noteSuppressedErrors(usize n);
 
 /// Fixed-size thread pool. Tasks are void() closures; exceptions thrown by
 /// a task are captured — wait() rethrows the first and counts the rest via
-/// noteSuppressedErrors(). Prefer TaskGroup for waiting: pool-level wait()
-/// covers *all* tasks, not just the caller's.
+/// noteSuppressedErrors(). wait() covers *all* tasks, not just the
+/// caller's.
 class ThreadPool {
 public:
   /// `threads` == 0 selects hardware_concurrency (at least 1).
@@ -55,8 +55,6 @@ public:
 
   /// Block until the pool is fully idle (zero queued or running tasks from
   /// *any* submitter), then rethrow the first captured task exception.
-  /// Concurrent submitters should use TaskGroup, which waits on its own
-  /// tasks only.
   void wait();
 
   [[nodiscard]] usize threadCount() const { return workers_.size(); }
@@ -77,35 +75,6 @@ private:
 /// The process-wide pool behind `parallelFor`, built on first use. Exposed
 /// for tests and for callers that want to submit long-lived work directly.
 [[nodiscard]] ThreadPool &sharedPool();
-
-/// Per-caller completion handle over a ThreadPool: submit() enqueues onto
-/// the pool, wait() blocks until *this group's* tasks are done — concurrent
-/// groups on the shared pool wait independently. All task exceptions are
-/// collected; wait() rethrows the first and counts the rest via
-/// noteSuppressedErrors() (total observable through errorCount()). The
-/// destructor waits without throwing.
-class TaskGroup {
-public:
-  explicit TaskGroup(ThreadPool &pool = sharedPool());
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup &) = delete;
-  TaskGroup &operator=(const TaskGroup &) = delete;
-
-  void submit(std::function<void()> task);
-
-  /// Block until every task submitted through this group has finished;
-  /// rethrows the first collected exception, if any.
-  void wait();
-
-  /// Task exceptions collected over the group's lifetime.
-  [[nodiscard]] usize errorCount() const;
-
-private:
-  struct State;
-  std::shared_ptr<State> state_;
-  ThreadPool &pool_;
-};
 
 /// Worker-count resolution used by the shared pool, exposed pure for tests:
 /// a nonzero `explicitThreads` wins, else a positive integer in `envValue`

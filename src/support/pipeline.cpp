@@ -9,33 +9,10 @@ namespace sv {
 
 namespace {
 
-std::atomic<u8> gDefaultMode{static_cast<u8>(ExecMode::Streaming)};
-
 std::mutex gStatsMutex;
 std::vector<NodeStats> gStatsRegistry;
 
-std::mutex gJitterMutex;
-std::shared_ptr<const std::function<void(usize, usize)>> gJitter;
-
 } // namespace
-
-const char *execModeName(ExecMode mode) {
-  return mode == ExecMode::Barrier ? "barrier" : "streaming";
-}
-
-std::optional<ExecMode> execModeFromName(std::string_view name) {
-  if (name == "barrier") return ExecMode::Barrier;
-  if (name == "streaming") return ExecMode::Streaming;
-  return std::nullopt;
-}
-
-ExecMode defaultExecMode() {
-  return static_cast<ExecMode>(gDefaultMode.load(std::memory_order_relaxed));
-}
-
-void setDefaultExecMode(ExecMode mode) {
-  gDefaultMode.store(static_cast<u8>(mode), std::memory_order_relaxed);
-}
 
 double NodeStats::throughput() const {
   return wallMs > 0 ? static_cast<double>(items) / (wallMs / 1000.0) : 0;
@@ -49,7 +26,6 @@ double NodeStats::occupancy() const {
 json::Value NodeStats::toJson() const {
   json::Object o;
   o.emplace("name", json::Value(name));
-  o.emplace("mode", json::Value(mode));
   o.emplace("workers", json::Value(workers));
   o.emplace("items", json::Value(items));
   o.emplace("steals", json::Value(steals));
@@ -70,7 +46,6 @@ json::Value NodeStats::toJson() const {
 std::string NodeStats::renderText(usize indent) const {
   std::ostringstream out;
   out << std::string(indent * 2, ' ') << name;
-  if (!mode.empty()) out << " [" << mode << "]";
   out << std::fixed << std::setprecision(1);
   out << "  items=" << items << " workers=" << workers << " occ=" << occupancy() * 100 << "%"
       << " steals=" << steals << " maxq=" << maxQueueDepth << " busy=" << busyMs
@@ -87,22 +62,6 @@ void registerPipelineStats(NodeStats stats) {
 std::vector<NodeStats> drainPipelineStats() {
   const std::lock_guard lock(gStatsMutex);
   return std::exchange(gStatsRegistry, {});
-}
-
-void setPipelineStageJitter(std::function<void(usize, usize)> hook) {
-  auto ptr = hook ? std::make_shared<const std::function<void(usize, usize)>>(std::move(hook))
-                  : std::shared_ptr<const std::function<void(usize, usize)>>{};
-  const std::lock_guard lock(gJitterMutex);
-  gJitter = std::move(ptr);
-}
-
-void applyStageJitter(usize stage, usize item) {
-  std::shared_ptr<const std::function<void(usize, usize)>> hook;
-  {
-    const std::lock_guard lock(gJitterMutex);
-    hook = gJitter;
-  }
-  if (hook) (*hook)(stage, item);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +209,6 @@ usize StreamRuntime::errorCount() const {
 NodeStats StreamRuntime::stats() const {
   NodeStats s;
   s.name = impl_->name;
-  s.mode = execModeName(ExecMode::Streaming);
   s.workers = impl_->workers;
   {
     const std::lock_guard lock(impl_->mutex);
@@ -272,37 +230,10 @@ NodeStats StreamRuntime::stats() const {
 NodeStats TaskPool::run(usize n, const std::function<void(usize)> &body,
                         const PipeOptions &options) {
   const auto wallStart = std::chrono::steady_clock::now();
-  NodeStats node;
-  if (options.mode == ExecMode::Barrier) {
-    std::atomic<u64> busyNs{0};
-    parallelFor(
-        n,
-        [&](usize i) {
-          applyStageJitter(0, i);
-          const auto t0 = std::chrono::steady_clock::now();
-          body(i);
-          busyNs.fetch_add(static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                                std::chrono::steady_clock::now() - t0)
-                                                .count()),
-                           std::memory_order_relaxed);
-        },
-        options.threads);
-    node.workers = effectiveThreadCount(options.threads);
-    node.items = n;
-    node.busyMs = static_cast<double>(busyNs.load(std::memory_order_relaxed)) / 1e6;
-  } else {
-    StreamRuntime rt(name_, options.threads);
-    for (usize i = 0; i < n; ++i) {
-      rt.spawn([&body, i] {
-        applyStageJitter(0, i);
-        body(i);
-      });
-    }
-    rt.run();
-    node = rt.stats();
-  }
-  node.name = name_;
-  node.mode = execModeName(options.mode);
+  StreamRuntime rt(name_, options.threads);
+  for (usize i = 0; i < n; ++i) rt.spawn([&body, i] { body(i); });
+  rt.run();
+  NodeStats node = rt.stats();
   node.wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wallStart)
           .count();

@@ -9,7 +9,6 @@
 //                    owner's deque, so one item runs depth-first and stays
 //                    cache-hot while other items stream behind it)
 //   TaskPool         flat work-stealing for-each over n indices
-//   mapReduce        TaskPool map into slots + deterministic left fold
 //
 // All nodes run on a StreamRuntime: the caller drains as worker 0, helper
 // workers are borrowed from sharedPool() (cancellable — a saturated pool
@@ -19,11 +18,11 @@
 // MPMC injection TaskQueue (taskqueue.hpp).
 //
 // Determinism contract: results land in slots indexed by item, never in
-// completion order, so Barrier and Streaming modes produce byte-identical
-// serialised output. Every node self-reports throughput, occupancy, queue
-// depth and steal counts into a NodeStats tree (`svale --pipeline-stats`),
-// following the self-instrumented pattern-node design of the Extra-P
-// compositional performance analyzer.
+// completion order, so output is byte-identical at any worker count (a
+// 1-worker run is the reference). Every node self-reports throughput,
+// occupancy, queue depth and steal counts into a NodeStats tree (`svale
+// --pipeline-stats`), following the self-instrumented pattern-node design
+// of the Extra-P compositional performance analyzer.
 #pragma once
 
 #include <array>
@@ -31,9 +30,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -44,27 +41,10 @@
 
 namespace sv {
 
-/// How a pattern node executes: `Barrier` is the classic full-width
-/// phase-barrier schedule (parallelFor per stage, every intermediate
-/// materialised across all items — kept as the measurable baseline and the
-/// parity reference), `Streaming` is the work-stealing task graph.
-enum class ExecMode : u8 { Barrier, Streaming };
-
-[[nodiscard]] const char *execModeName(ExecMode mode);
-/// "barrier" / "streaming" → mode; anything else → nullopt.
-[[nodiscard]] std::optional<ExecMode> execModeFromName(std::string_view name);
-
-/// Process-wide default mode (Streaming unless overridden). `svale
-/// --pipeline barrier` flips it so every driver can be A/B'd from the CLI.
-[[nodiscard]] ExecMode defaultExecMode();
-void setDefaultExecMode(ExecMode mode);
-
 /// Self-reported measurements of one pattern node (plus one child entry per
-/// pipeline stage). Rendered by `svale --pipeline-stats` and serialised
-/// into BENCH_pipeline.json.
+/// pipeline stage). Rendered by `svale --pipeline-stats`.
 struct NodeStats {
   std::string name;
-  std::string mode;        ///< "barrier" or "streaming"
   usize workers = 0;       ///< workers the node ran with (incl. the caller)
   usize items = 0;         ///< tasks executed
   usize steals = 0;        ///< tasks taken from another worker's deque
@@ -87,17 +67,7 @@ struct NodeStats {
 void registerPipelineStats(NodeStats stats);
 [[nodiscard]] std::vector<NodeStats> drainPipelineStats();
 
-/// Test hook (fuzz `pipeline` oracle): called as hook(stage, item) before
-/// every stage execution of every node, letting the oracle inject random
-/// sleeps that perturb the completion order. Pass an empty function to
-/// clear. Never used outside tests/fuzzing.
-void setPipelineStageJitter(std::function<void(usize, usize)> hook);
-/// Invoke the installed jitter hook, if any (internal, used by node
-/// templates; out-of-line so the hot path stays a single call).
-void applyStageJitter(usize stage, usize item);
-
 struct PipeOptions {
-  ExecMode mode = defaultExecMode();
   /// 0 = resolve like parallelFor (configureThreads / SV_THREADS / cores).
   usize threads = 0;
   /// Append this run's NodeStats to the process-wide registry.
@@ -138,8 +108,8 @@ private:
   std::shared_ptr<Impl> impl_;
 };
 
-/// Flat work-stealing for-each: run body(i) for i in [0, n) under `mode`,
-/// returning (and optionally registering) the node's measurements.
+/// Flat work-stealing for-each: run body(i) for i in [0, n), returning (and
+/// optionally registering) the node's measurements.
 class TaskPool {
 public:
   explicit TaskPool(std::string name) : name_(std::move(name)) {}
@@ -154,13 +124,10 @@ private:
 };
 
 /// Typed stage chain over item types Ts... (N+1 types = N stages). Stage K
-/// maps Ts[K]&& → Ts[K+1] for one item. In Streaming mode, finishing stage
-/// K of item i spawns stage K+1 of item i onto the worker's own deque;
-/// in Barrier mode every stage runs as a full-width parallelFor with all
-/// intermediates materialised (the baseline being replaced). Outputs land
-/// in slots indexed by item, so both modes are byte-identical.
-/// Intermediate and output types must be default-constructible and
-/// movable (they sit in pre-sized slot vectors).
+/// maps Ts[K]&& → Ts[K+1] for one item; finishing stage K of item i spawns
+/// stage K+1 of item i onto the worker's own deque. Outputs land in slots
+/// indexed by item. Output types must be default-constructible and movable
+/// (they sit in a pre-sized slot vector).
 template <typename... Ts> class Pipeline {
   static_assert(sizeof...(Ts) >= 2, "Pipeline needs an input and an output type");
 
@@ -189,35 +156,22 @@ public:
     }
     const usize n = items.size();
     const auto wallStart = std::chrono::steady_clock::now();
-    std::vector<Out> out;
-    NodeStats node;
-    if (options.mode == ExecMode::Barrier) {
-      out = barrierFrom<0>(std::move(items), options);
-      node.workers = effectiveThreadCount(options.threads);
-      node.items = n * kStageCount;
-      for (const auto &m : meta_)
-        node.busyMs += static_cast<double>(m.busyNs.load(std::memory_order_relaxed)) / 1e6;
-    } else {
-      out.resize(n);
-      StreamRuntime rt(name_, options.threads);
-      for (usize i = 0; i < n; ++i) {
-        rt.spawn([this, &rt, &out, i, v = std::make_shared<In>(std::move(items[i]))]() mutable {
-          execStage<0>(rt, std::move(*v), i, out);
-        });
-      }
-      items.clear();
-      rt.run();
-      node = rt.stats();
+    std::vector<Out> out(n);
+    StreamRuntime rt(name_, options.threads);
+    for (usize i = 0; i < n; ++i) {
+      rt.spawn([this, &rt, &out, i, v = std::make_shared<In>(std::move(items[i]))]() mutable {
+        execStage<0>(rt, std::move(*v), i, out);
+      });
     }
-    node.name = name_;
-    node.mode = execModeName(options.mode);
+    items.clear();
+    rt.run();
+    NodeStats node = rt.stats();
     node.wallMs = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                            wallStart)
                       .count();
     for (const auto &m : meta_) {
       NodeStats child;
       child.name = m.name;
-      child.mode = node.mode;
       child.workers = node.workers;
       child.items = m.items.load(std::memory_order_relaxed);
       child.busyMs = static_cast<double>(m.busyNs.load(std::memory_order_relaxed)) / 1e6;
@@ -245,7 +199,6 @@ private:
   using FnTuple = decltype(fnTupleHelper(std::make_index_sequence<kStageCount>{}));
 
   template <usize K> StageOut<K> timedStage(StageIn<K> &&v, usize i) {
-    applyStageJitter(K, i);
     const auto t0 = std::chrono::steady_clock::now();
     StageOut<K> next = std::get<K>(fns_)(std::move(v), i);
     meta_[K].busyNs.fetch_add(
@@ -255,23 +208,6 @@ private:
         std::memory_order_relaxed);
     meta_[K].items.fetch_add(1, std::memory_order_relaxed);
     return next;
-  }
-
-  /// Barrier schedule: full-width parallelFor per stage, previous stage's
-  /// storage only released once the whole next stage is materialised —
-  /// exactly the peak-footprint behaviour the streaming mode eliminates.
-  template <usize K, typename Cur>
-  auto barrierFrom(std::vector<Cur> cur, const PipeOptions &options) {
-    if constexpr (K == kStageCount) {
-      return cur;
-    } else {
-      std::vector<StageOut<K>> next(cur.size());
-      parallelFor(
-          cur.size(), [&](usize i) { next[i] = timedStage<K>(std::move(cur[i]), i); },
-          options.threads);
-      { auto dead = std::move(cur); }
-      return barrierFrom<K + 1>(std::move(next), options);
-    }
   }
 
   template <usize K>
@@ -291,21 +227,5 @@ private:
   std::array<StageMeta, kStageCount> meta_;
   NodeStats lastStats_;
 };
-
-/// TaskPool map into per-index slots followed by a deterministic left fold
-/// in index order — completion order never reaches the reduction.
-template <typename R>
-[[nodiscard]] R mapReduce(const std::string &name, usize n, R init,
-                          const std::function<R(usize)> &map,
-                          const std::function<R(R &&, R &&)> &reduce,
-                          const PipeOptions &options = {}) {
-  std::vector<R> slots(n);
-  TaskPool pool(name);
-  pool.run(
-      n, [&](usize i) { slots[i] = map(i); }, options);
-  R acc = std::move(init);
-  for (auto &slot : slots) acc = reduce(std::move(acc), std::move(slot));
-  return acc;
-}
 
 } // namespace sv

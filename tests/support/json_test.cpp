@@ -43,6 +43,14 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW((void)json::parse("\"unterminated"), ParseError);
 }
 
+TEST(Json, NestingLimitThrowsInsteadOfOverflowingTheStack) {
+  const auto nested = [](usize depth) { return std::string(depth, '[') + std::string(depth, ']'); };
+  EXPECT_EQ(json::write(json::parse(nested(json::kMaxNesting))),
+            nested(json::kMaxNesting));
+  EXPECT_THROW((void)json::parse(nested(json::kMaxNesting + 1)), ParseError);
+  EXPECT_THROW((void)json::parse(std::string(300000, '[')), ParseError);
+}
+
 TEST(Json, TypeMismatchThrows) {
   const auto v = json::parse("[1]");
   EXPECT_THROW((void)v.asObject(), ParseError);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -135,46 +134,6 @@ TEST(ParallelFor, NestedCallCoversEveryIndexOnce) {
       },
       3);
   for (usize k = 0; k < hits.size(); ++k) EXPECT_EQ(hits[k].load(), 1) << k;
-}
-
-TEST(TaskGroup, WaitsForOwnTasksOnly) {
-  ThreadPool pool(2);
-  std::promise<void> gate;
-  auto opened = gate.get_future().share();
-  TaskGroup slow(pool);
-  slow.submit([opened] { opened.wait(); });
-  TaskGroup fast(pool);
-  std::atomic<bool> ran{false};
-  fast.submit([&] { ran.store(true); });
-  // Must return while `slow`'s task is still blocked on the gate — the
-  // pool-level wait() footgun this type exists to fix.
-  fast.wait();
-  EXPECT_TRUE(ran.load());
-  gate.set_value();
-  slow.wait();
-}
-
-TEST(TaskGroup, CollectsEveryTaskException) {
-  const usize before = suppressedErrorCount();
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  for (int i = 0; i < 5; ++i) group.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_EQ(group.errorCount(), 5u);
-  // One rethrown, four suppressed-but-counted.
-  EXPECT_EQ(suppressedErrorCount(), before + 4);
-}
-
-TEST(TaskGroup, ReusableAfterError) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.submit([] { throw std::runtime_error("x"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  std::atomic<int> count{0};
-  group.submit([&] { count.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(count.load(), 1);
-  EXPECT_EQ(group.errorCount(), 1u);
 }
 
 TEST(ParallelFor, ExceptionLeavesSharedPoolUsable) {

@@ -1,9 +1,9 @@
 // Stress and semantics tests for the streaming-runtime primitives: the
 // MPMC TaskQueue, the per-worker WorkStealingDeque (operation-count
 // invariants under concurrent producers/consumers/stealers), and the
-// pattern nodes built on them (StreamRuntime, Pipeline, TaskPool,
-// mapReduce). The silvervale-level byte-identity tests live in
-// tests/silvervale/pipeline_parity_test.cpp.
+// pattern nodes built on them (StreamRuntime, Pipeline, TaskPool). The
+// silvervale-level thread-count invariance tests live in
+// tests/silvervale/thread_invariance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -170,25 +170,16 @@ TEST(StreamRuntime, RethrowsFirstTaskErrorCountsRest) {
   EXPECT_EQ(suppressedErrorCount(), before + 2);
 }
 
-TEST(ExecMode, NamesRoundTrip) {
-  EXPECT_STREQ(execModeName(ExecMode::Barrier), "barrier");
-  EXPECT_STREQ(execModeName(ExecMode::Streaming), "streaming");
-  EXPECT_EQ(execModeFromName("barrier"), ExecMode::Barrier);
-  EXPECT_EQ(execModeFromName("streaming"), ExecMode::Streaming);
-  EXPECT_FALSE(execModeFromName("bogus").has_value());
-}
-
 namespace {
 
 /// 2-stage pipeline used by the node tests: square then stringify.
-std::vector<std::string> runSquarePipe(ExecMode mode, usize threads, NodeStats *statsOut) {
+std::vector<std::string> runSquarePipe(usize threads, NodeStats *statsOut) {
   Pipeline<usize, usize, std::string> pipe("square-pipe");
   pipe.stage<0>("square", [](usize &&v, usize) { return v * v; });
   pipe.stage<1>("render", [](usize &&v, usize) { return std::to_string(v); });
   std::vector<usize> in(100);
   for (usize i = 0; i < in.size(); ++i) in[i] = i;
   PipeOptions options;
-  options.mode = mode;
   options.threads = threads;
   options.registerStats = false;
   auto out = pipe.run(std::move(in), options);
@@ -198,65 +189,38 @@ std::vector<std::string> runSquarePipe(ExecMode mode, usize threads, NodeStats *
 
 } // namespace
 
-TEST(PipelineNode, StreamingMatchesBarrierInSlotOrder) {
-  NodeStats barrier;
-  NodeStats streaming;
-  const auto a = runSquarePipe(ExecMode::Barrier, 1, &barrier);
-  const auto b = runSquarePipe(ExecMode::Streaming, 4, &streaming);
-  ASSERT_EQ(a.size(), b.size());
-  for (usize i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+TEST(PipelineNode, FourWorkersMatchOneWorkerInSlotOrder) {
+  NodeStats one;
+  NodeStats four;
+  const auto a = runSquarePipe(1, &one);
+  const auto b = runSquarePipe(4, &four);
+  EXPECT_EQ(a, b);
   EXPECT_EQ(a[7], "49");
-  // Both modes report per-stage children with full item counts.
-  ASSERT_EQ(barrier.children.size(), 2u);
-  ASSERT_EQ(streaming.children.size(), 2u);
-  EXPECT_EQ(barrier.children[0].name, "square");
-  EXPECT_EQ(streaming.children[1].name, "render");
-  for (const auto &node : {barrier, streaming}) {
+  // Both runs report per-stage children with full item counts.
+  for (const auto &node : {one, four}) {
+    ASSERT_EQ(node.children.size(), 2u);
+    EXPECT_EQ(node.children[0].name, "square");
+    EXPECT_EQ(node.children[1].name, "render");
     for (const auto &stage : node.children) EXPECT_EQ(stage.items, 100u);
+    EXPECT_EQ(node.items, 200u); // 100 items x 2 stages as tasks
+    EXPECT_GT(node.occupancy(), 0.0);
   }
-  EXPECT_EQ(streaming.items, 200u); // 100 items x 2 stages as tasks
-  EXPECT_GT(streaming.occupancy(), 0.0);
 }
 
-TEST(PipelineNode, JitterHookPerturbsScheduleNotResults) {
-  std::atomic<usize> calls{0};
-  setPipelineStageJitter([&](usize stage, usize item) {
-    calls.fetch_add(1);
-    if ((stage + item) % 7 == 0) std::this_thread::yield();
-  });
-  const auto out = runSquarePipe(ExecMode::Streaming, 4, nullptr);
-  setPipelineStageJitter({});
-  EXPECT_EQ(calls.load(), 200u);
-  EXPECT_EQ(out[99], std::to_string(99 * 99));
-}
-
-TEST(TaskPoolNode, BothModesCoverAllIndices) {
-  for (const ExecMode mode : {ExecMode::Barrier, ExecMode::Streaming}) {
+TEST(TaskPoolNode, OneAndFourWorkersCoverAllIndices) {
+  for (const usize threads : {usize{1}, usize{4}}) {
     std::vector<std::atomic<int>> hits(500);
     TaskPool pool("hit-counter");
     PipeOptions options;
-    options.mode = mode;
-    options.threads = 4;
+    options.threads = threads;
     options.registerStats = false;
     const NodeStats s = pool.run(
         500, [&](usize i) { hits[i].fetch_add(1); }, options);
     for (usize i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
     EXPECT_EQ(s.items, 500u);
-    EXPECT_EQ(s.mode, execModeName(mode));
+    EXPECT_EQ(s.name, "hit-counter");
     EXPECT_GT(s.wallMs, 0.0);
   }
-}
-
-TEST(MapReduce, FoldsInIndexOrderRegardlessOfSchedule) {
-  PipeOptions options;
-  options.mode = ExecMode::Streaming;
-  options.threads = 4;
-  options.registerStats = false;
-  const std::string folded = mapReduce<std::string>(
-      "concat", 26, std::string{},
-      [](usize i) { return std::string(1, static_cast<char>('a' + i)); },
-      [](std::string &&acc, std::string &&s) { return std::move(acc) + s; }, options);
-  EXPECT_EQ(folded, "abcdefghijklmnopqrstuvwxyz");
 }
 
 TEST(PipelineStats, RegistryDrainsOnce) {
