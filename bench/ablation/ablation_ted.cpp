@@ -1,7 +1,7 @@
 // TED algorithm ablation (google-benchmark): Zhang–Shasha vs the
-// APTED/RTED-style path-strategy variant on random trees, adversarial
-// comb shapes and real corpus trees — the memory/runtime concern the
-// paper's future-work section raises.
+// APTED/RTED-style per-subtree-pair path strategy on random trees,
+// adversarial comb shapes and real corpus trees — the memory/runtime
+// concern the paper's future-work section raises.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -116,10 +116,9 @@ void BM_TedAptedPhases(benchmark::State &state) {
   const auto ib = apted::buildIndex(b, intern);
   const auto strat = apted::computeStrategy(ia, ib);
   state.counters["strategy_cost"] = static_cast<double>(strat.cost);
-  state.counters["whole_left_cost"] =
-      static_cast<double>(tedSubproblemsLeft(a) * tedSubproblemsLeft(b));
+  state.counters["whole_left_cost"] = static_cast<double>(ia.krSumLeft[ia.n] * ib.krSumLeft[ib.n]);
   state.counters["whole_right_cost"] =
-      static_cast<double>(tedSubproblemsRight(a) * tedSubproblemsRight(b));
+      static_cast<double>(ia.krSumRight[ia.n] * ib.krSumRight[ib.n]);
   for (usize k = 0; k < 4; ++k) {
     state.counters[std::string("kernels_") + apted::pathKindName(static_cast<apted::PathKind>(k))] =
         static_cast<double>(rc.kernels[k]);
@@ -135,19 +134,13 @@ BENCHMARK_CAPTURE(BM_TedRandom, zhang_shasha, TedAlgo::ZhangShasha)
     ->RangeMultiplier(2)
     ->Range(64, 512)
     ->Complexity();
-BENCHMARK_CAPTURE(BM_TedRandom, path_strategy, TedAlgo::PathStrategy)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Complexity();
 BENCHMARK_CAPTURE(BM_TedRandom, apted, TedAlgo::Apted)
     ->RangeMultiplier(2)
     ->Range(64, 512)
     ->Complexity();
 BENCHMARK_CAPTURE(BM_TedCombs, zhang_shasha, TedAlgo::ZhangShasha)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_TedCombs, path_strategy, TedAlgo::PathStrategy)->Arg(128)->Arg(256);
 BENCHMARK_CAPTURE(BM_TedCombs, apted, TedAlgo::Apted)->Arg(128)->Arg(256);
 BENCHMARK_CAPTURE(BM_TedCorpus, zhang_shasha, TedAlgo::ZhangShasha);
-BENCHMARK_CAPTURE(BM_TedCorpus, path_strategy, TedAlgo::PathStrategy);
 BENCHMARK_CAPTURE(BM_TedCorpus, apted, TedAlgo::Apted);
 BENCHMARK_CAPTURE(BM_TedCorpusEngine, engine_cold, false);
 BENCHMARK_CAPTURE(BM_TedCorpusEngine, engine_warm, true);

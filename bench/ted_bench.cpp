@@ -1,23 +1,15 @@
-// TED engine microbenchmark: times silvervale::divergenceMatrix for
-// Tsrc/Tsem/Tir on TeaLeaf and CloverLeaf, per algorithm arm
-// (path_strategy vs apted) with the shared-view engine on vs. off, and
-// writes BENCH_ted.json (median of N >= 3 runs per configuration) so
-// future PRs have a perf trajectory to compare against. The engine cache
-// is cleared before every engine-on run, so the reported speedup is the
-// cold, single-matrix win (view reuse across pairs, the symmetric pair
-// memo, fingerprint short-circuits, cached strategy matrices) — not
-// warm-cache replay. Each apted engine-on cell also records the
+// TED engine microbenchmark: times silvervale::divergenceMatrix (Apted)
+// for Tsrc/Tsem/Tir on TeaLeaf and CloverLeaf with the shared-view engine
+// on vs. off, and writes BENCH_ted.json (median of N >= 3 runs per
+// configuration) so future PRs have a perf trajectory to compare against.
+// The engine cache is cleared before every engine-on run, so the reported
+// speedup is the cold, single-matrix win (view reuse across pairs, the
+// symmetric pair memo, fingerprint short-circuits, cached strategy
+// matrices) — not warm-cache replay. Each cell also records the
 // strategy-choice histogram (single-path kernels and forest-DP cells per
 // PathKind) from the EngineStats counters.
 //
-// A filter_and_refine section (always included, --quick too: it is the CI
-// regression cell) compares the exact all-ports divergence matrix against
-// the radius-capped filter-and-refine path and records the filter
-// counters; --min-filter-rate F fails the run when the fraction of pairs
-// settled without a full DP drops below F.
-//
 // Usage: ted_bench [--runs N] [--out FILE] [--threads N] [--quick]
-//                  [--min-filter-rate F]
 //   --quick restricts to TeaLeaf/Tsem (the acceptance-criteria cell).
 #include <algorithm>
 #include <chrono>
@@ -54,19 +46,18 @@ double median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-/// One algorithm arm: engine off and on medians over `runs` repetitions.
-json::Object benchArm(const silvervale::IndexedApp &app, metrics::Metric metric,
-                      tree::TedAlgo algo, usize runs, double &onMsOut) {
+/// One cell: engine off and on medians over `runs` repetitions.
+json::Object benchCell(const silvervale::IndexedApp &app, metrics::Metric metric, usize runs,
+                       double &offMsOut, double &onMsOut) {
   tree::TedOptions off;
-  off.algo = algo;
   off.useCache = false;
-  tree::TedOptions on;
-  on.algo = algo;
+  const tree::TedOptions on;
   std::vector<double> offMs, onMs;
   for (usize r = 0; r < runs; ++r) offMs.push_back(timeMatrixMs(app, metric, off));
   for (usize r = 0; r < runs; ++r) onMs.push_back(timeMatrixMs(app, metric, on));
   const double offMed = median(offMs);
   const double onMed = median(onMs);
+  offMsOut = offMed;
   onMsOut = onMed;
   json::Object cell;
   cell.emplace("engine_off_ms", json::Value(offMed));
@@ -77,7 +68,7 @@ json::Object benchArm(const silvervale::IndexedApp &app, metrics::Metric metric,
 
 constexpr const char *kKindNames[4] = {"leftA", "rightA", "leftB", "rightB"};
 
-/// Strategy histogram of the engine's last (cold) apted run: which path
+/// Strategy histogram of the engine's last (cold) run: which path
 /// kinds the strategy DP picked and how much forest-DP work each executed.
 json::Object strategyHistogram(const tree::EngineStats &s) {
   json::Object kernels, cells;
@@ -100,21 +91,15 @@ int main(int argc, char **argv) {
   usize runs = 3;
   std::string outFile = "BENCH_ted.json";
   bool quick = false;
-  double minFilterRate = 0.0;
   try {
-    const cli::FlagSpec spec{{"runs", "out", "threads", "min-filter-rate"}, {"quick"},
-                             {{"-o", "out"}}};
+    const cli::FlagSpec spec{{"runs", "out", "threads"}, {"quick"}, {{"-o", "out"}}};
     const auto args = cli::parseArgs(argc, argv, 1, spec);
     if (args.flags.count("runs")) runs = std::stoul(args.flags.at("runs"));
     if (args.flags.count("out")) outFile = args.flags.at("out");
     if (args.flags.count("threads")) configureThreads(std::stoul(args.flags.at("threads")));
-    if (args.flags.count("min-filter-rate"))
-      minFilterRate = std::stod(args.flags.at("min-filter-rate"));
     quick = args.flags.count("quick") != 0;
   } catch (const std::exception &e) {
-    std::fprintf(stderr,
-                 "usage: ted_bench [--runs N] [--out FILE] [--threads N] [--quick]\n"
-                 "                 [--min-filter-rate F]\n%s\n",
+    std::fprintf(stderr, "usage: ted_bench [--runs N] [--out FILE] [--threads N] [--quick]\n%s\n",
                  e.what());
     return 2;
   }
@@ -138,73 +123,17 @@ int main(int argc, char **argv) {
     const auto app = silvervale::indexApp(appName);
     json::Object perMetric;
     for (const auto &[metric, name] : metricSpecs) {
-      double psOn = 0, apOn = 0;
-      json::Object cell;
-      cell.emplace("path_strategy", json::Value(benchArm(app, metric, tree::TedAlgo::PathStrategy,
-                                                         runs, psOn)));
-      // apted last: engine_stats_last_run below reflects an apted run.
-      auto apted = benchArm(app, metric, tree::TedAlgo::Apted, runs, apOn);
-      apted.emplace("strategy_histogram",
-                    json::Value(strategyHistogram(tree::TedEngine::global().stats())));
-      cell.emplace("apted", json::Value(std::move(apted)));
-      const double ratio = apOn > 0 ? psOn / apOn : 0;
-      cell.emplace("apted_vs_ps_engine_on", json::Value(ratio));
-      std::printf("  %-12s %-5s ps on: %9.1f ms   apted on: %9.1f ms   apted speedup: %.2fx\n",
-                  appName.c_str(), name, psOn, apOn, ratio);
+      double offMs = 0, onMs = 0;
+      auto cell = benchCell(app, metric, runs, offMs, onMs);
+      cell.emplace("strategy_histogram",
+                   json::Value(strategyHistogram(tree::TedEngine::global().stats())));
+      std::printf("  %-12s %-5s engine off: %9.1f ms   engine on: %9.1f ms   speedup: %.2fx\n",
+                  appName.c_str(), name, offMs, onMs, onMs > 0 ? offMs / onMs : 0);
       perMetric.emplace(name, json::Value(std::move(cell)));
     }
     apps.emplace(appName, json::Value(std::move(perMetric)));
   }
   report.emplace("apps", json::Value(std::move(apps)));
-
-  // ---- filter-and-refine regression cell ------------------------------
-  // Exact all-ports matrix vs the radius-capped filter path. The tight
-  // radius keeps only near-ports (serial vs omp and the like) exact;
-  // everything else is settled by the signature bounds or abandoned
-  // mid-DP — the filter rate this cell reports is what CI pins.
-  std::printf("indexing all ports for the filter-and-refine cell...\n");
-  const auto ports = silvervale::indexAllPorts();
-  constexpr double kRadius = 0.05;
-  metrics::QueryStats fStats;
-  std::vector<double> exactMs, filteredMs;
-  for (usize r = 0; r < runs; ++r) {
-    tree::TedEngine::global().clear();
-    auto start = std::chrono::steady_clock::now();
-    const auto me = silvervale::portMatrix(ports, metrics::Metric::Tsem);
-    exactMs.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-            .count());
-    tree::TedEngine::global().clear();
-    metrics::QueryStats stats;
-    start = std::chrono::steady_clock::now();
-    const auto mf = silvervale::portMatrix(ports, metrics::Metric::Tsem, {}, {}, kRadius, &stats);
-    filteredMs.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-            .count());
-    volatile double sink = 0;
-    for (const double v : me.values) sink = sink + v;
-    for (const double v : mf.values) sink = sink + v;
-    (void)sink;
-    fStats = stats;
-  }
-  const double exactMed = median(exactMs);
-  const double filteredMed = median(filteredMs);
-  std::printf("filter-and-refine: exact %.1f ms, filtered %.1f ms (radius %.2f), "
-              "speedup %.2fx, filter rate %.2f\n",
-              exactMed, filteredMed, kRadius, filteredMed > 0 ? exactMed / filteredMed : 0,
-              fStats.filterRate());
-  json::Object far;
-  far.emplace("ports", json::Value(ports.size()));
-  far.emplace("radius", json::Value(kRadius));
-  far.emplace("exact_ms", json::Value(exactMed));
-  far.emplace("filtered_ms", json::Value(filteredMed));
-  far.emplace("speedup", json::Value(filteredMed > 0 ? exactMed / filteredMed : 0));
-  far.emplace("candidates", json::Value(fStats.candidates));
-  far.emplace("pruned_by_bound", json::Value(fStats.prunedByBound));
-  far.emplace("pruned_by_cutoff", json::Value(fStats.prunedByCutoff));
-  far.emplace("exact", json::Value(fStats.exact));
-  far.emplace("filter_rate", json::Value(fStats.filterRate()));
-  report.emplace("filter_and_refine", json::Value(std::move(far)));
 
   const auto stats = tree::TedEngine::global().stats();
   json::Object engine;
@@ -213,7 +142,6 @@ int main(int argc, char **argv) {
   engine.emplace("memo_hits", json::Value(stats.memoHits));
   engine.emplace("memo_misses", json::Value(stats.memoMisses));
   engine.emplace("whole_tree_shortcuts", json::Value(stats.wholeTreeShortcuts));
-  engine.emplace("keyroot_block_hits", json::Value(stats.keyrootBlockHits));
   engine.emplace("strategy_hits", json::Value(stats.strategyHits));
   engine.emplace("strategy_misses", json::Value(stats.strategyMisses));
   engine.emplace("subtree_block_hits", json::Value(stats.subtreeBlockHits));
@@ -226,10 +154,5 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("wrote %s\n", outFile.c_str());
-  if (fStats.filterRate() < minFilterRate) {
-    std::fprintf(stderr, "FAIL: filter rate %.2f below the %.2f floor\n", fStats.filterRate(),
-                 minFilterRate);
-    return 1;
-  }
   return 0;
 }

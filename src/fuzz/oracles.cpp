@@ -211,8 +211,6 @@ struct Parsed {
   const tree::TedOptions engineOn; // useCache defaults to true
   tree::TedOptions zsOff = engineOff;
   zsOff.algo = tree::TedAlgo::ZhangShasha;
-  tree::TedOptions psOff = engineOff;
-  psOff.algo = tree::TedAlgo::PathStrategy;
 
   if (tree::ted(t, t, engineOff) != 0) return "d(T,T) != 0 (engine off)";
   if (tree::tedDispatch(t, t, engineOn) != 0) return "d(T,T) != 0 (engine on)";
@@ -227,13 +225,10 @@ struct Parsed {
       if (onAb != off)
         return "engine-on/off parity broken: " + std::to_string(onAb) + " vs " +
                std::to_string(off);
-      // Cross-algorithm equality: the Apted default against both oracles.
+      // Cross-algorithm equality: the Apted default against the oracle.
       const u64 zs = tree::ted(t, q, zsOff);
       if (off != zs)
         return "Apted != ZhangShasha: " + std::to_string(off) + " vs " + std::to_string(zs);
-      const u64 ps = tree::ted(t, q, psOff);
-      if (off != ps)
-        return "Apted != PathStrategy: " + std::to_string(off) + " vs " + std::to_string(ps);
     }
 
     // Metamorphic mutants against the oldest pool entry: simultaneous
@@ -310,8 +305,7 @@ struct Parsed {
       // result agrees with the exact distance whenever exact < cutoff.
       for (const u64 cutoff : {exact / 2 + 1, exact + 1, exact + 7}) {
         const u64 want = std::min(exact, cutoff);
-        for (const auto algo :
-             {tree::TedAlgo::Apted, tree::TedAlgo::PathStrategy, tree::TedAlgo::ZhangShasha}) {
+        for (const auto algo : {tree::TedAlgo::Apted, tree::TedAlgo::ZhangShasha}) {
           tree::TedOptions opts = engineOff;
           opts.algo = algo;
           opts.cutoff = cutoff;

@@ -19,7 +19,7 @@
 //               diagnostic set (modulo locations) and the T_sem fingerprint
 //   lb          every signature lower bound (size, histogram, binary
 //               branch, and their max) underestimates the exact TED, and
-//               cutoff mode returns min(exact, cutoff) for all three
+//               cutoff mode returns min(exact, cutoff) for both
 //               algorithms, engine on and off — including agreement with
 //               the exact distance whenever exact < cutoff
 //   deps        lint::runDeps is deterministic across fresh parses, its

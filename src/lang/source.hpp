@@ -61,4 +61,22 @@ private:
   std::string where_;
 };
 
+/// Deepest recursive-descent nesting either frontend accepts: open
+/// statements, expressions and unary operators, counted together. Deeper
+/// input is a FrontendError at the offending token, never a stack overflow.
+inline constexpr usize kMaxNesting = 256;
+
+/// One level of parser nesting, held for the duration of a recursive call.
+/// The parser checks the depth against kMaxNesting before taking one.
+class NestingGuard {
+public:
+  explicit NestingGuard(usize &depth) : depth_(depth) { ++depth_; }
+  ~NestingGuard() { --depth_; }
+  NestingGuard(const NestingGuard &) = delete;
+  NestingGuard &operator=(const NestingGuard &) = delete;
+
+private:
+  usize &depth_;
+};
+
 } // namespace sv::lang

@@ -27,6 +27,7 @@ private:
   const SourceManager &sm_;
   TranslationUnit unit_;
   usize pos_ = 0;
+  usize depth_ = 0;
 
   // ------------------------------------------------------ token helpers --
   [[nodiscard]] const Token &peek(usize ahead = 0) const {
@@ -69,6 +70,13 @@ private:
 
   [[noreturn]] void fail(const std::string &what) const {
     throw FrontendError(what, sm_.describe(loc()));
+  }
+
+  /// Enter one nesting level; input nested deeper than kMaxNesting fails.
+  [[nodiscard]] NestingGuard nest() {
+    if (depth_ >= kMaxNesting)
+      fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+    return NestingGuard(depth_);
   }
 
   // --------------------------------------------------------- type parse --
@@ -340,6 +348,7 @@ private:
   }
 
   [[nodiscard]] StmtPtr parseStmt() {
+    const auto guard = nest();
     const Location l = loc();
     if (at(TokKind::Pragma)) {
       const Token &tok = advance();
@@ -476,6 +485,7 @@ private:
 
   // --------------------------------------------------------- expressions --
   [[nodiscard]] ExprPtr parseExpr() {
+    const auto guard = nest();
     auto e = parseAssignment();
     // Comma operator: fold into a Binary "," chain (rare; for-steps).
     while (atPunct(",")) {
@@ -497,6 +507,7 @@ private:
       if (atPunct(op)) {
         const Location l = loc();
         advance();
+        const auto guard = nest();
         auto rhs = parseAssignment(); // right-associative
         auto e = Expr::make(ExprKind::Assign, l, std::string(op));
         e->args.push_back(std::move(lhs));
@@ -512,6 +523,7 @@ private:
     if (atPunct("?")) {
       const Location l = loc();
       advance();
+      const auto guard = nest();
       auto thenE = parseAssignment();
       expectPunct(":");
       auto elseE = parseAssignment();
@@ -568,6 +580,7 @@ private:
   }
 
   [[nodiscard]] ExprPtr parseUnary() {
+    const auto guard = nest();
     static const std::string_view ops[] = {"!", "-", "+", "~", "*", "&", "++", "--"};
     for (const auto op : ops) {
       if (atPunct(op)) {

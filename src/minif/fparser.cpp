@@ -33,6 +33,7 @@ private:
   const SourceManager &sm_;
   TranslationUnit unit_;
   usize pos_ = 0;
+  usize depth_ = 0;
   std::set<std::string> arrayNames_; ///< per-unit: declared array variables
 
   // ------------------------------------------------------ token helpers --
@@ -80,6 +81,13 @@ private:
 
   [[noreturn]] void fail(const std::string &what) const {
     throw FrontendError(what, sm_.describe(loc()));
+  }
+
+  /// Enter one nesting level; input nested deeper than kMaxNesting fails.
+  [[nodiscard]] NestingGuard nest() {
+    if (depth_ >= kMaxNesting)
+      fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+    return NestingGuard(depth_);
   }
 
   // ----------------------------------------------------- program units --
@@ -231,6 +239,7 @@ private:
 
   /// Returns nullptr for statements that do not produce AST (use/implicit).
   StmtPtr parseStatement(FunctionDecl *fn) {
+    const auto guard = nest();
     const Location l = loc();
     if (at(FTokKind::Directive)) {
       const FToken &tok = advance();
@@ -576,7 +585,10 @@ private:
   }
 
   // --------------------------------------------------------- expressions --
-  ExprPtr parseExpr() { return parseOr(); }
+  ExprPtr parseExpr() {
+    const auto guard = nest();
+    return parseOr();
+  }
 
   ExprPtr parseOr() {
     auto lhs = parseAnd();
@@ -621,6 +633,7 @@ private:
       advance();
       advance();
       auto e = Expr::make(ExprKind::Unary, l, "!");
+      const auto guard = nest();
       e->args.push_back(parseNot());
       return e;
     }
@@ -676,6 +689,7 @@ private:
       advance();
       auto e = Expr::make(ExprKind::Binary, l, "**");
       e->args.push_back(std::move(lhs));
+      const auto guard = nest();
       e->args.push_back(parsePower()); // right associative
       return e;
     }
@@ -683,6 +697,7 @@ private:
   }
 
   ExprPtr parseUnary() {
+    const auto guard = nest();
     if (atPunct("-") || atPunct("+")) {
       const Location l = loc();
       const std::string op = advance().text;

@@ -142,6 +142,7 @@ public:
 private:
   const std::vector<u8> &bytes_;
   usize pos_ = 0;
+  usize depth_ = 0;
 
   u8 next() {
     if (pos_ >= bytes_.size()) throw ParseError("msgpack: unexpected end of input");
@@ -173,20 +174,35 @@ private:
     return b;
   }
 
+  /// Enter a container of `n` elements. Containers decode by recursion, so
+  /// the depth is bounded; and every element takes at least one byte, so a
+  /// count beyond the remaining input is corrupt (and must not reach a
+  /// reserve()).
+  void enterContainer(usize n) {
+    if (depth_ == kMaxNesting)
+      throw ParseError("msgpack: nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+    if (n > bytes_.size() - pos_) throw ParseError("msgpack: container overruns input");
+    ++depth_;
+  }
+
   Array getArray(usize n) {
+    enterContainer(n);
     Array a;
     a.reserve(n);
     for (usize i = 0; i < n; ++i) a.push_back(decodeValue());
+    --depth_;
     return a;
   }
 
   Map getMap(usize n) {
+    enterContainer(n);
     Map m;
     for (usize i = 0; i < n; ++i) {
       Value key = decodeValue();
       if (!key.isString()) throw ParseError("msgpack: non-string map key");
       m.emplace(key.asString(), decodeValue());
     }
+    --depth_;
     return m;
   }
 

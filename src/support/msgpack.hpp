@@ -70,7 +70,11 @@ private:
 /// Serialise a value to MessagePack bytes.
 [[nodiscard]] std::vector<u8> encode(const Value &v);
 
-/// Parse MessagePack bytes; trailing bytes are an error.
+/// Deepest array/map nesting decode() accepts.
+inline constexpr usize kMaxNesting = 512;
+
+/// Parse MessagePack bytes; trailing bytes, nesting deeper than kMaxNesting
+/// and element counts the remaining input cannot hold are errors.
 [[nodiscard]] Value decode(const std::vector<u8> &bytes);
 
 } // namespace sv::msgpack

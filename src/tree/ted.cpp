@@ -33,14 +33,13 @@ private:
   std::unordered_map<std::string, u32> ids_;
 };
 
-PostView makeView(const Tree &t, bool mirrored, PairInterner &interner) {
+PostView makeView(const Tree &t, PairInterner &interner) {
   PostView v;
   v.n = t.size();
   v.label.assign(v.n + 1, 0);
   v.lml.assign(v.n + 1, 0);
   if (v.n == 0) return v;
 
-  // Post-order traversal, honouring mirroring by flipping child order.
   std::vector<NodeId> order;
   order.reserve(v.n);
   std::vector<std::pair<NodeId, usize>> stack{{0, 0}};
@@ -48,9 +47,7 @@ PostView makeView(const Tree &t, bool mirrored, PairInterner &interner) {
     auto &[id, cursor] = stack.back();
     const auto &ch = t.node(id).children;
     if (cursor < ch.size()) {
-      const NodeId next = mirrored ? ch[ch.size() - 1 - cursor] : ch[cursor];
-      ++cursor;
-      stack.emplace_back(next, 0);
+      stack.emplace_back(ch[cursor++], 0);
     } else {
       order.push_back(id);
       stack.pop_back();
@@ -65,12 +62,7 @@ PostView makeView(const Tree &t, bool mirrored, PairInterner &interner) {
     const NodeId id = order[i - 1];
     v.label[i] = interner.intern(t.node(id).label);
     const auto &ch = t.node(id).children;
-    if (ch.empty()) {
-      v.lml[i] = i;
-    } else {
-      const NodeId first = mirrored ? ch.back() : ch.front();
-      v.lml[i] = v.lml[pos[first]];
-    }
+    v.lml[i] = ch.empty() ? i : v.lml[pos[ch.front()]];
   }
 
   // Keyroots: i is a keyroot iff no j > i has lml(j) == lml(i).
@@ -153,14 +145,6 @@ u64 zhangShasha(const PostView &a, const PostView &b, const TedCosts &costs, u64
   return cutoff ? std::min(exact, cutoff) : exact;
 }
 
-u64 subproblems(const PostView &v) {
-  // Sum over keyroots of the keyroot's relevant-forest size; the standard
-  // RTED cost estimate for a fixed decomposition strategy.
-  u64 total = 0;
-  for (const usize k : v.keyroots) total += static_cast<u64>(k - v.lml[k] + 1);
-  return total;
-}
-
 } // namespace
 
 u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options) {
@@ -184,33 +168,9 @@ u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options) {
     return apted::run(a, b, strategy, options.costs, /*reuseBlocks=*/false, nullptr,
                       options.cutoff);
   }
-  if (options.algo == TedAlgo::ZhangShasha) {
-    const PostView a = makeView(t1, false, interner);
-    const PostView b = makeView(t2, false, interner);
-    return zhangShasha(a, b, options.costs, options.cutoff);
-  }
-  // PathStrategy: estimate both decompositions, then run the cheaper one.
-  // Mirroring both trees preserves the edit distance because the edit
-  // mapping constraints are symmetric under a simultaneous reversal of
-  // sibling order.
-  const PostView aL = makeView(t1, false, interner);
-  const PostView bL = makeView(t2, false, interner);
-  const PostView aR = makeView(t1, true, interner);
-  const PostView bR = makeView(t2, true, interner);
-  const u64 costLeft = subproblems(aL) * subproblems(bL);
-  const u64 costRight = subproblems(aR) * subproblems(bR);
-  if (costRight < costLeft) return zhangShasha(aR, bR, options.costs, options.cutoff);
-  return zhangShasha(aL, bL, options.costs, options.cutoff);
-}
-
-u64 tedSubproblemsLeft(const Tree &t) {
-  PairInterner interner;
-  return subproblems(makeView(t, false, interner));
-}
-
-u64 tedSubproblemsRight(const Tree &t) {
-  PairInterner interner;
-  return subproblems(makeView(t, true, interner));
+  const PostView a = makeView(t1, interner);
+  const PostView b = makeView(t2, interner);
+  return zhangShasha(a, b, options.costs, options.cutoff);
 }
 
 } // namespace sv::tree

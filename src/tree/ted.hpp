@@ -1,10 +1,5 @@
-// Tree Edit Distance (Section III-B). Three interchangeable algorithms:
+// Tree Edit Distance (Section III-B). Two interchangeable algorithms:
 //
-//  * ZhangShasha — the classic left-path keyroot algorithm [Zhang & Shasha
-//    1989]; O(n1*n2*min(depth,leaves)^2) time, O(n1*n2) space.
-//  * PathStrategy — a whole-tree orientation pick: the relevant-subproblem
-//    count of the left-path and right-path decompositions is computed first
-//    and the cheaper one is executed on (possibly mirrored) trees.
 //  * Apted — in the spirit of APTED/RTED [Pawlik & Augsten 2011/2016]: an
 //    O(n1*n2) strategy DP picks, for *every subtree pair*, the cheapest
 //    root-leaf path decomposition (left or right path, in either tree —
@@ -12,11 +7,14 @@
 //    using exact relevant-subproblem counts, and the distance phase
 //    executes that plan recursively through single-path kernels. On the
 //    deep, skewed T_ir trees the paper calls out (Section IV-E) this is a
-//    multiplicative win over any whole-tree orientation.
-//
-// All three return identical distances on every input; ZhangShasha and
-// PathStrategy stay selectable as the cross-check oracles for Apted (the
-// fuzz `ted` round and tests/tree/ted_test.cpp assert the equality).
+//    multiplicative win over any whole-tree orientation. The production
+//    path (the default, and the only algorithm the engine caches).
+//  * ZhangShasha — the classic left-path keyroot algorithm [Zhang & Shasha
+//    1989]; O(n1*n2*min(depth,leaves)^2) time, O(n1*n2) space. Kept as the
+//    independent oracle: it shares no code with Apted, and together with
+//    the brute-force enumerator (tests/tree/ted_bruteforce_test.cpp) it
+//    cross-checks every Apted distance in the tests and the fuzz `ted`
+//    round.
 //
 // Costs default to the paper's unit weight for delete/insert/relabel, but a
 // TedCosts struct allows per-operation weights — the future-work knob the
@@ -37,9 +35,8 @@ struct TedCosts {
 };
 
 enum class TedAlgo {
-  ZhangShasha,  ///< always left-path decomposition
-  PathStrategy, ///< choose left/right decomposition by whole-tree subproblem count
-  Apted,        ///< per-subtree-pair optimal path strategy (the default)
+  ZhangShasha, ///< always left-path decomposition (the uncached oracle)
+  Apted,       ///< per-subtree-pair optimal path strategy (the default)
 };
 
 struct TedOptions {
@@ -64,11 +61,6 @@ struct TedOptions {
 /// relabellings transforming t1 into t2. All algorithms return identical
 /// values; see tests/tree/ted_test.cpp for the cross-check property suite.
 [[nodiscard]] u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options = {});
-
-/// Number of relevant subproblems the left-path (keyroot) decomposition
-/// would solve; the PathStrategy estimator. Exposed for the ablation bench.
-[[nodiscard]] u64 tedSubproblemsLeft(const Tree &t);
-[[nodiscard]] u64 tedSubproblemsRight(const Tree &t);
 
 /// The APTED-class core: per-tree indices, the strategy DP and the
 /// single-path distance kernels. Exposed so the shared-view engine
@@ -147,8 +139,8 @@ struct RunCounters {
 /// Execute the strategy: recursively solve the subtree pairs hanging off
 /// each chosen path, then run the single-path kernel for the path itself.
 /// With `reuseBlocks`, repeated (fingerprint, fingerprint) subtree pairs
-/// replay their TD rectangle instead of recomputing (the engine's keyroot
-/// TD-block reuse generalised to whole single-path subproblems).
+/// replay their TD rectangle instead of recomputing (the engine turns this
+/// on; it owns a cross-call fingerprint space).
 /// With `cutoff > 0` the whole-tree kernel early-abandons per the
 /// TedOptions::cutoff contract and `run` returns exactly cutoff; pairs
 /// that complete return the exact distance (callers clamp).

@@ -364,8 +364,7 @@ u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy, const 
   std::vector<u64> fd((a.n + 2) * (b.n + 2), 0);
 
   // Solved subtree-pair rectangles by content; repeats replay instead of
-  // recomputing (the keyroot TD-block reuse generalised to whole
-  // single-path subproblems). Subtrees sharing a fingerprint are disjoint
+  // recomputing. Subtrees sharing a fingerprint are disjoint
   // (nesting would change the size), so rectangle copies never alias.
   std::unordered_map<BlockKey, std::pair<u32, u32>, BlockKeyHash> blocks;
   const auto blockKeyOf = [&](u32 v, u32 w) {

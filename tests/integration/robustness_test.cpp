@@ -11,6 +11,7 @@
 #include "minic/preprocessor.hpp"
 #include "minic/sema.hpp"
 #include "minif/fparser.hpp"
+#include "silvervale/silvervale.hpp"
 #include "tree/ted.hpp"
 #include "vm/vm.hpp"
 
@@ -27,6 +28,47 @@ void tryFrontend(const std::string &src) {
     // rejected: fine
   } catch (const ParseError &) {
   }
+}
+
+/// `x` inside `minuses` unary minuses inside `parens` parentheses. As the
+/// operand of a statement its deepest node sits at recursive-descent depth
+/// 3 + 2 * parens + minuses: the statement, its expression and that
+/// expression's unary, then an expression and a unary per parenthesis and
+/// one unary per minus.
+std::string nestedOperand(usize parens, usize minuses) {
+  std::string e;
+  for (usize i = 0; i < minuses; ++i) e += "- ";
+  return std::string(parens, '(') + e + "x" + std::string(parens, ')');
+}
+
+std::string nestedC(usize parens, usize minuses) {
+  return "int f(int x) {\n  return " + nestedOperand(parens, minuses) +
+         ";\n}\nint main() {\n  return f(1);\n}\n";
+}
+
+std::string nestedFortran(usize parens, usize minuses) {
+  return "program p\n  implicit none\n  integer :: x, y\n  x = 1\n  y = " +
+         nestedOperand(parens, minuses) + "\n  print *, y\nend program p\n";
+}
+
+/// Half the nesting budget in parentheses, the rest in unary minuses, so
+/// the AST itself is deep too; `extra` levels beyond the bound.
+constexpr usize kLimitParens = (lang::kMaxNesting - 3) / 4;
+constexpr usize limitMinuses(usize extra) {
+  return lang::kMaxNesting - 3 - 2 * kLimitParens + extra;
+}
+
+db::Codebase oneFileCodebase(const std::string &file, const std::string &text,
+                             const std::string &compiler) {
+  db::Codebase cb;
+  cb.app = "nesting";
+  cb.model = "serial";
+  cb.addFile(file, text);
+  db::CompileCommand cmd;
+  cmd.file = file;
+  cmd.args = {compiler, file};
+  cb.commands.push_back(cmd);
+  return cb;
 }
 
 void tryFortran(const std::string &src) {
@@ -142,6 +184,49 @@ TEST(FailureInjection, CorruptedDbRejected) {
     }
   }
   SUCCEED();
+}
+
+TEST(FailureInjection, DeepNestingIsAFrontendError) {
+  // Far past the bound (5000 parentheses deep in C, 20000 in Fortran): a
+  // located FrontendError, not a stack overflow.
+  const auto c = oneFileCodebase("deep.cpp", nestedC(5000, 0), "c++");
+  EXPECT_THROW((void)silvervale::lintCodebase(c), lang::FrontendError);
+  const auto f = oneFileCodebase("deep.f90", nestedFortran(20000, 0), "gfortran");
+  EXPECT_THROW((void)silvervale::lintCodebase(f), lang::FrontendError);
+  // Right-associative chains nest without parentheses.
+  std::string assignChain = "int f(int x) {\n  return x";
+  for (int i = 0; i < 5000; ++i) assignChain += " = x";
+  EXPECT_THROW((void)db::index(oneFileCodebase("chain.cpp", assignChain + ";\n}\n", "c++")),
+               lang::FrontendError);
+  std::string powerChain = "program p\n  real :: x, y\n  y = x";
+  for (int i = 0; i < 20000; ++i) powerChain += "**x";
+  EXPECT_THROW(
+      (void)db::index(oneFileCodebase("chain.f90", powerChain + "\nend program p\n", "gfortran")),
+      lang::FrontendError);
+  // One level past it is already rejected.
+  const auto overC = oneFileCodebase("over.cpp", nestedC(kLimitParens, limitMinuses(1)), "c++");
+  EXPECT_THROW((void)db::index(overC), lang::FrontendError);
+  const auto overF =
+      oneFileCodebase("over.f90", nestedFortran(kLimitParens, limitMinuses(1)), "gfortran");
+  EXPECT_THROW((void)db::index(overF), lang::FrontendError);
+}
+
+TEST(FailureInjection, NestingAtTheLimitRunsEveryTier) {
+  // Exactly at the bound the input is accepted, and every later pass —
+  // indexing (trees, signatures) and all four lint tiers — survives it.
+  silvervale::LintOptions all;
+  all.ir = true;
+  all.deps = true;
+  all.range = true;
+  for (const auto &cb :
+       {oneFileCodebase("limit.cpp", nestedC(kLimitParens, limitMinuses(0)), "c++"),
+        oneFileCodebase("limit.f90", nestedFortran(kLimitParens, limitMinuses(0)), "gfortran")}) {
+    const auto indexed = db::index(cb).db;
+    ASSERT_EQ(indexed.units.size(), 1u) << cb.commands[0].file;
+    EXPECT_GT(indexed.units[0].tsem.size(), limitMinuses(0)) << cb.commands[0].file;
+    const auto report = silvervale::lintCodebase(cb, all);
+    EXPECT_EQ(report.units.size(), 1u) << cb.commands[0].file;
+  }
 }
 
 // ----------------------------------------------------------- determinism ---

@@ -19,10 +19,9 @@ db::CodebaseDb indexed(const std::string &app, const std::string &model) {
 
 void expectIdenticalDivergence(const db::CodebaseDb &a, const db::CodebaseDb &b, Metric metric,
                                const std::string &what) {
-  // Cached vs uncached, for every algorithm — and all algorithms must agree
-  // with each other (Apted is the default; the others are its oracles).
-  const auto algos = {tree::TedAlgo::Apted, tree::TedAlgo::ZhangShasha,
-                      tree::TedAlgo::PathStrategy};
+  // Cached vs uncached, for both algorithms — and they must agree with
+  // each other (Apted is the default; Zhang–Shasha is its oracle).
+  const auto algos = {tree::TedAlgo::Apted, tree::TedAlgo::ZhangShasha};
   bool first = true;
   Divergence baseline;
   for (const auto algo : algos) {

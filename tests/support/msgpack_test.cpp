@@ -89,3 +89,33 @@ TEST(Msgpack, MapFieldAccess) {
 TEST(Msgpack, DoubleAccessorAcceptsInt) {
   EXPECT_DOUBLE_EQ(Value(4).asDouble(), 4.0);
 }
+
+namespace {
+/// `levels` arrays nested inside each other around a nil.
+Value nestedArrays(usize levels) {
+  Value v(nullptr);
+  for (usize i = 0; i < levels; ++i) v = Value(msgpack::Array{std::move(v)});
+  return v;
+}
+} // namespace
+
+TEST(Msgpack, NestingAtTheLimitRoundTrips) {
+  const Value v = nestedArrays(msgpack::kMaxNesting);
+  EXPECT_EQ(roundTrip(v), v);
+  EXPECT_THROW((void)roundTrip(nestedArrays(msgpack::kMaxNesting + 1)), ParseError);
+}
+
+TEST(Msgpack, HostileNestingRejected) {
+  // A million fixarray-of-one headers: the decoder must stop at the
+  // nesting bound, not recurse until the stack runs out.
+  std::vector<u8> bytes(1000000, 0x91);
+  bytes.push_back(0xc0);
+  EXPECT_THROW((void)msgpack::decode(bytes), ParseError);
+}
+
+TEST(Msgpack, HostileElementCountRejected) {
+  // array32 / map32 claiming 4G elements in a 6-byte blob: a ParseError,
+  // not a 4G-element reserve().
+  EXPECT_THROW((void)msgpack::decode({0xdd, 0xff, 0xff, 0xff, 0xff, 0xc0}), ParseError);
+  EXPECT_THROW((void)msgpack::decode({0xdf, 0xff, 0xff, 0xff, 0xff, 0xc0}), ParseError);
+}

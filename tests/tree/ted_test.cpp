@@ -25,9 +25,6 @@ Tree randomTree(u32 seed, usize n) {
 u64 tedZS(const Tree &a, const Tree &b) {
   return ted(a, b, TedOptions{TedAlgo::ZhangShasha, {}});
 }
-u64 tedPS(const Tree &a, const Tree &b) {
-  return ted(a, b, TedOptions{TedAlgo::PathStrategy, {}});
-}
 u64 tedAP(const Tree &a, const Tree &b) {
   return ted(a, b, TedOptions{TedAlgo::Apted, {}});
 }
@@ -53,7 +50,6 @@ Tree mirrored(const Tree &t) {
 TEST(Ted, IdenticalTreesHaveZeroDistance) {
   const auto t = randomTree(1, 50);
   EXPECT_EQ(tedZS(t, t), 0u);
-  EXPECT_EQ(tedPS(t, t), 0u);
   EXPECT_EQ(tedAP(t, t), 0u);
 }
 
@@ -115,7 +111,6 @@ TEST(Ted, PaperFigure1DistanceIsFive) {
       "FunctionTemplateDecl",
       {build("ParmVarDecl"), build("CompoundStmt", {build("CallExpr"), build("ReturnStmt")})}));
   EXPECT_EQ(tedZS(t1, t2), 5u);
-  EXPECT_EQ(tedPS(t1, t2), 5u);
   EXPECT_EQ(tedAP(t1, t2), 5u);
 }
 
@@ -169,7 +164,6 @@ TEST_P(TedPropertySweep, AlgorithmsAgreeAndAxiomsHold) {
   const auto c = randomTree(seed * 2 + 3, 10 + rng() % 60);
 
   const u64 ab = tedZS(a, b);
-  EXPECT_EQ(ab, tedPS(a, b)) << "seed=" << seed;
   EXPECT_EQ(ab, tedAP(a, b)) << "seed=" << seed;
 
   // Identity of indiscernibles (one direction) and symmetry.
@@ -201,14 +195,7 @@ TEST(Ted, LinearChainVsBushyTree) {
   const auto chain = toTree(build("a", {build("b", {build("c")})}));
   const auto star = toTree(build("a", {build("b"), build("c")}));
   EXPECT_EQ(tedZS(chain, star), 2u);
-  EXPECT_EQ(tedPS(chain, star), 2u);
   EXPECT_EQ(tedAP(chain, star), 2u);
-}
-
-TEST(Ted, SubproblemEstimatorsPositive) {
-  const auto t = randomTree(9, 100);
-  EXPECT_GT(tedSubproblemsLeft(t), 0u);
-  EXPECT_GT(tedSubproblemsRight(t), 0u);
 }
 
 TEST(Ted, SkewedTreeStrategiesAgree) {
@@ -226,14 +213,14 @@ TEST(Ted, SkewedTreeStrategiesAgree) {
     rightComb.addChild(cur, "leaf");
     cur = rightComb.addChild(cur, "n");
   }
-  EXPECT_EQ(tedZS(leftComb, rightComb), tedPS(leftComb, rightComb));
   EXPECT_EQ(tedZS(leftComb, rightComb), tedAP(leftComb, rightComb));
 }
 
 TEST(Ted, StrategyCostNeverExceedsWholeTreeOrientations) {
   // The per-subtree-pair plan can only improve on a whole-tree pick: an
   // all-LeftA plan unrolls to exactly the Zhang–Shasha left decomposition
-  // cost, and likewise for the other uniform choices.
+  // cost (the root keyroot sums), and likewise for the other uniform
+  // choices.
   std::unordered_map<std::string, u32> ids;
   const auto intern = [&ids](const std::string &s) {
     return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
@@ -245,8 +232,8 @@ TEST(Ted, StrategyCostNeverExceedsWholeTreeOrientations) {
     const auto ia = apted::buildIndex(a, intern);
     const auto ib = apted::buildIndex(b, intern);
     const auto strat = apted::computeStrategy(ia, ib);
-    const u64 left = tedSubproblemsLeft(a) * tedSubproblemsLeft(b);
-    const u64 right = tedSubproblemsRight(a) * tedSubproblemsRight(b);
+    const u64 left = ia.krSumLeft[ia.n] * ib.krSumLeft[ib.n];
+    const u64 right = ia.krSumRight[ia.n] * ib.krSumRight[ib.n];
     EXPECT_LE(strat.cost, std::min(left, right)) << "seed=" << seed;
     EXPECT_GT(strat.cost, 0u);
   }

@@ -113,7 +113,7 @@ TEST(TedBounds, CutoffReturnsMinOfExactAndCutoff) {
     for (const u64 cutoff : {u64{1}, exact / 2 + 1, exact, exact + 1, exact + 10}) {
       if (cutoff == 0) continue;
       const u64 want = std::min(exact, cutoff);
-      for (const auto algo : {TedAlgo::Apted, TedAlgo::PathStrategy, TedAlgo::ZhangShasha}) {
+      for (const auto algo : {TedAlgo::Apted, TedAlgo::ZhangShasha}) {
         TedOptions opts;
         opts.algo = algo;
         opts.useCache = false;

@@ -27,8 +27,8 @@ Tree randomTree(u32 seed, usize n) {
 }
 
 /// A tree that repeats the same grafted subtree several times — the shape
-/// that exercises the keyroot-level TD-block reuse (shared boilerplate
-/// repeated within a unit).
+/// that exercises the subtree-pair TD reuse (shared boilerplate repeated
+/// within a unit).
 Tree treeWithDuplicates(u32 seed, usize stamp, usize copies) {
   auto t = randomTree(seed, 12);
   const auto shared = randomTree(seed + 1000, stamp);
@@ -61,8 +61,8 @@ TEST(TedEngine, StructurallyIdenticalTreesShareOneView) {
   const auto s = engine.stats();
   EXPECT_EQ(s.viewMisses, 1u);
   EXPECT_EQ(s.viewHits, 1u);
-  EXPECT_EQ(v1->rootFp, t.fingerprint());
-  EXPECT_EQ(v1->left.fp[v1->size], t.fingerprint());
+  EXPECT_EQ(v1->index.n, t.size());
+  EXPECT_EQ(v1->index.fp[v1->index.n], t.fingerprint());
 }
 
 TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
@@ -71,11 +71,9 @@ TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
     std::mt19937 rng(seed);
     const auto a = randomTree(seed * 2 + 1, 10 + rng() % 60);
     const auto b = randomTree(seed * 2 + 2, 10 + rng() % 60);
-    for (const auto algo : {TedAlgo::ZhangShasha, TedAlgo::PathStrategy, TedAlgo::Apted}) {
-      TedOptions opts;
-      opts.algo = algo;
-      EXPECT_EQ(engine.ted(a, b, opts), ted(a, b, opts)) << "seed=" << seed;
-    }
+    const u64 cached = engine.ted(a, b);
+    EXPECT_EQ(cached, ted(a, b)) << "seed=" << seed;
+    EXPECT_EQ(cached, ted(a, b, TedOptions{TedAlgo::ZhangShasha, {}})) << "seed=" << seed;
   }
 }
 
@@ -92,18 +90,26 @@ TEST(TedEngine, CachedEqualsUncachedWithDuplicatedSubtrees) {
   }
 }
 
-TEST(TedEngine, RepeatedSubtreesShareTheirKeyrootTdBlock) {
-  // Root with several copies of the same subtree: every non-leftmost copy
-  // is a keyroot, so the cross product of copy keyroots yields identical
-  // subtree pairs whose TD block is computed once and replayed.
-  const auto kernel = build("For", {build("Decl"), build("BinOp", {build("Ref"), build("Lit")})});
-  const auto a = toTree(build("Fn", {kernel, kernel, kernel, build("Ret")}));
-  const auto b = toTree(build("Fn", {build("Decl"), kernel, kernel}));
+TEST(TedEngine, ZhangShashaRequestBypassesTheEngine) {
+  // The oracle must never be answered from the engine's caches: a
+  // ZhangShasha request runs the uncached reference and leaves every
+  // counter untouched.
   TedEngine engine;
-  TedOptions zs;
-  zs.algo = TedAlgo::ZhangShasha;
+  const auto a = randomTree(14, 40);
+  const auto b = randomTree(15, 30);
+  const TedOptions zs{TedAlgo::ZhangShasha, {}};
   EXPECT_EQ(engine.ted(a, b, zs), ted(a, b, zs));
-  EXPECT_GT(engine.stats().keyrootBlockHits, 0u);
+  EXPECT_EQ(engine.ted(a, a, zs), 0u);
+  const auto s = engine.stats();
+  u64 kernels = 0, cells = 0;
+  for (usize k = 0; k < 4; ++k) {
+    kernels += s.spfKernels[k];
+    cells += s.spfSubproblems[k];
+  }
+  EXPECT_EQ(s.viewHits + s.viewMisses + s.memoHits + s.memoMisses + s.wholeTreeShortcuts +
+                s.strategyHits + s.strategyMisses + s.subtreeBlockHits + s.prunedByBound +
+                s.prunedByCutoff + s.cutoffExact + kernels + cells,
+            0u);
 }
 
 TEST(TedEngine, StrategyMatrixIsSharedAcrossCostConfigurations) {

@@ -90,8 +90,8 @@ int usage() {
       "                                       (default tests/fuzz/corpus)\n"
       "metrics: SLOC LLOC Source Tsrc Tsem Tsem+i Tir (default Tsem)\n"
       "oracles: round-trip vm ir ted lint lb deps range pipeline\n"
-      "TED algorithms (--algo): apted (default) | ps | zs — all return\n"
-      "identical distances; ps/zs are the cross-check oracles\n"
+      "TED algorithms (--algo): apted (default) | zs — both return\n"
+      "identical distances; zs is the uncached cross-check oracle (slow)\n"
       "--threads N caps the shared worker pool for every command\n"
       "(equivalent to the SV_THREADS environment variable)\n"
       "--pipeline-stats prints the per-node throughput/occupancy/steal\n"
@@ -99,16 +99,15 @@ int usage() {
   return 2;
 }
 
-/// TED options from --algo (engine stays on; all algorithms are
-/// byte-identical, the non-default ones exist as cross-check oracles).
+/// TED options from --algo. Both algorithms are byte-identical; `zs` runs
+/// the uncached Zhang–Shasha oracle as a cross-check.
 tree::TedOptions tedOptionsFrom(const Args &args) {
   tree::TedOptions opts;
   const auto it = args.flags.find("algo");
   if (it == args.flags.end()) return opts;
   if (it->second == "apted") opts.algo = tree::TedAlgo::Apted;
-  else if (it->second == "ps") opts.algo = tree::TedAlgo::PathStrategy;
   else if (it->second == "zs") opts.algo = tree::TedAlgo::ZhangShasha;
-  else throw ParseError("unknown TED algorithm: " + it->second + " (want apted|ps|zs)");
+  else throw cli::UsageError("unknown TED algorithm: " + it->second + " (want apted|zs)");
   return opts;
 }
 
