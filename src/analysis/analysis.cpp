@@ -21,9 +21,9 @@ DistanceMatrix buildMatrix(std::vector<std::string> labels,
   for (usize i = 0; i < n; ++i)
     for (usize j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   std::vector<double> results(pairs.size());
-  parallelFor(pairs.size(), [&](usize k) {
-    results[k] = distance(pairs[k].first, pairs[k].second);
-  });
+  parallelFor(
+      pairs.size(), [&](usize k) { results[k] = distance(pairs[k].first, pairs[k].second); }, 0,
+      "matrix-entries");
   for (usize k = 0; k < pairs.size(); ++k)
     m.set(pairs[k].first, pairs[k].second, results[k]);
   return m;

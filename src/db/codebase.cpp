@@ -356,9 +356,7 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
   pipe.stage<1>("trees", [](UnitWork &&w, usize) { return unitTrees(std::move(w)); });
   pipe.stage<2>("lower", [](UnitWork &&w, usize) { return unitLower(std::move(w)); });
   pipe.stage<3>("sign", [](UnitWork &&w, usize) { return unitSign(std::move(w)); });
-  PipeOptions pipeOptions;
-  pipeOptions.threads = options.threads;
-  auto units = pipe.run(std::move(work), pipeOptions);
+  auto units = pipe.run(std::move(work), options.threads);
 
   for (usize c = 0; c < codebases.size(); ++c) {
     auto &out = results[c].db;
@@ -368,10 +366,10 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
   }
 
   if (options.runCoverage) {
-    // Coverage executes the linked program per codebase — its own pool node,
-    // downstream of indexing (the VM needs every TU of a codebase at once).
-    TaskPool pool("db-coverage");
-    pool.run(
+    // Coverage executes the linked program per codebase — its own for-each
+    // node, downstream of indexing (the VM needs every TU of a codebase at
+    // once).
+    parallelFor(
         codebases.size(),
         [&](usize c) {
           auto &result = results[c];
@@ -383,7 +381,7 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
           result.db.hasCoverage = true;
           result.coverageRun = std::move(runResult);
         },
-        pipeOptions);
+        options.threads, "db-coverage");
   }
   return results;
 }

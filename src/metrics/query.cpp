@@ -243,7 +243,8 @@ std::vector<u64> treeDistanceMatrix(const std::vector<tree::Tree> &corpus,
   if (n < 2) return values;
 
   std::vector<tree::BoundSignature> sigs(n);
-  parallelFor(n, [&](usize i) { sigs[i] = tree::boundSignature(corpus[i]); });
+  parallelFor(
+      n, [&](usize i) { sigs[i] = tree::boundSignature(corpus[i]); }, 0, "tree-signatures");
 
   std::vector<std::pair<u32, u32>> todo;
   todo.reserve(n * (n - 1) / 2);
@@ -251,7 +252,7 @@ std::vector<u64> treeDistanceMatrix(const std::vector<tree::Tree> &corpus,
     for (usize j = i + 1; j < n; ++j) todo.emplace_back(static_cast<u32>(i), static_cast<u32>(j));
 
   std::atomic<usize> prunedByBound{0}, prunedByCutoff{0}, exact{0};
-  parallelFor(todo.size(), [&](usize p) {
+  const auto comparePair = [&](usize p) {
     const auto [i, j] = todo[p];
     u64 v;
     if (cutoff > 0 && tree::tedLowerBound(sigs[i], sigs[j], ted.costs) >= cutoff) {
@@ -268,7 +269,8 @@ std::vector<u64> treeDistanceMatrix(const std::vector<tree::Tree> &corpus,
     }
     values[static_cast<usize>(i) * n + j] = v;
     values[static_cast<usize>(j) * n + i] = v;
-  });
+  };
+  parallelFor(todo.size(), comparePair, 0, "tree-pairs");
   if (stats) {
     stats->candidates += todo.size();
     stats->prunedByBound += prunedByBound.load();

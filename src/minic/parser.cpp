@@ -111,6 +111,7 @@ private:
     }
     // Template arguments.
     if (atPunct("<")) {
+      const auto guard = nest();
       const usize beforeArgs = pos_;
       advance();
       std::vector<Type> args;
@@ -179,6 +180,7 @@ private:
       const std::string name = expectIdent();
       expectPunct("{");
       const std::string inner = nsPrefix.empty() ? name : nsPrefix + "::" + name;
+      const auto guard = nest();
       while (!atPunct("}") && !at(TokKind::Eof)) parseTopLevel(inner);
       expectPunct("}");
       acceptPunct(";");

@@ -61,9 +61,7 @@ lint::Report lintCodebase(const db::Codebase &codebase, const LintOptions &optio
     }
     return unit;
   });
-  PipeOptions pipeOptions;
-  pipeOptions.threads = options.threads;
-  report.units = pipe.run(std::move(cmds), pipeOptions);
+  report.units = pipe.run(std::move(cmds), options.threads);
   return report;
 }
 
@@ -445,7 +443,7 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
     }
     results[p] = std::max(dij, directed(j, i));
   };
-  TaskPool("matrix-pairs").run(pairs.size(), pairBody);
+  parallelFor(pairs.size(), pairBody, 0, "matrix-pairs");
   for (usize p = 0; p < pairs.size(); ++p)
     m.set(pairs[p].first, pairs[p].second, results[p]);
 

@@ -3,7 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "support/taskqueue.hpp"
+#include "support/deque.hpp"
 
 namespace sv {
 
@@ -73,13 +73,12 @@ struct StreamRuntime::Impl {
   std::string name;
   usize workers = 1;
   std::vector<std::unique_ptr<WorkStealingDeque<Task>>> deques;
-  TaskQueue<Task> inject;
+  WorkStealingDeque<Task> inject; // FIFO: pushBottom in, stealTop out
 
   std::mutex mutex; // guards pending, errors, and the flushed counters
   std::condition_variable wake;
   usize pending = 0;
   std::vector<std::exception_ptr> errors;
-  usize errorTotal = 0;
   u64 busyNs = 0;
   usize items = 0;
   u64 wallNs = 0;
@@ -110,7 +109,7 @@ void workerLoop(const std::shared_ptr<StreamRuntime::Impl> &impl, usize index) {
       for (usize k = 1; k < impl->workers && !task; ++k)
         task = impl->deques[(index + k) % impl->workers]->stealTop();
     }
-    if (!task) task = impl->inject.tryPop();
+    if (!task) task = impl->inject.stealTop();
 
     if (task) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -119,7 +118,6 @@ void workerLoop(const std::shared_ptr<StreamRuntime::Impl> &impl, usize index) {
       } catch (...) {
         const std::lock_guard lock(impl->mutex);
         impl->errors.push_back(std::current_exception());
-        ++impl->errorTotal;
       }
       localBusyNs += static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                           std::chrono::steady_clock::now() - t0)
@@ -168,7 +166,7 @@ void StreamRuntime::spawn(Task task) {
   if (tlWorker.impl == impl_.get()) {
     impl_->deques[tlWorker.index]->pushBottom(std::move(task));
   } else {
-    impl_->inject.push(std::move(task));
+    impl_->inject.pushBottom(std::move(task));
   }
   impl_->wake.notify_one();
 }
@@ -201,11 +199,6 @@ void StreamRuntime::run() {
 
 usize StreamRuntime::workerCount() const { return impl_->workers; }
 
-usize StreamRuntime::errorCount() const {
-  const std::lock_guard lock(impl_->mutex);
-  return impl_->errorTotal;
-}
-
 NodeStats StreamRuntime::stats() const {
   NodeStats s;
   s.name = impl_->name;
@@ -216,30 +209,13 @@ NodeStats StreamRuntime::stats() const {
     s.busyMs = static_cast<double>(impl_->busyNs) / 1e6;
     s.wallMs = static_cast<double>(impl_->wallNs) / 1e6;
   }
+  // Taking work off the injection deque is not a steal; its depth counts.
   for (const auto &d : impl_->deques) {
     s.steals += d->stolenCount();
     if (d->maxDepth() > s.maxQueueDepth) s.maxQueueDepth = d->maxDepth();
   }
   if (impl_->inject.maxDepth() > s.maxQueueDepth) s.maxQueueDepth = impl_->inject.maxDepth();
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// TaskPool
-
-NodeStats TaskPool::run(usize n, const std::function<void(usize)> &body,
-                        const PipeOptions &options) {
-  const auto wallStart = std::chrono::steady_clock::now();
-  StreamRuntime rt(name_, options.threads);
-  for (usize i = 0; i < n; ++i) rt.spawn([&body, i] { body(i); });
-  rt.run();
-  NodeStats node = rt.stats();
-  node.wallMs =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wallStart)
-          .count();
-  lastStats_ = node;
-  if (options.registerStats) registerPipelineStats(node);
-  return lastStats_;
 }
 
 } // namespace sv

@@ -1,21 +1,19 @@
-// Streaming task-graph runtime: the alternative to full-width phase
-// barriers. A corpus-wide operation used to run as `parallelFor` per phase
-// — parse *everything*, barrier, lower *everything*, barrier, ... — so the
-// slowest translation unit in each phase stalled all 46 ports. Here the
-// unit-level flow is expressed as composable pattern nodes instead:
+// Streaming task-graph runtime, the one scheduler behind every parallel
+// operation. Work is expressed as composable pattern nodes:
 //
 //   Pipeline<Ts...>  typed stage chain; finishing stage k of item i
 //                    immediately spawns stage k+1 of item i (LIFO on the
 //                    owner's deque, so one item runs depth-first and stays
-//                    cache-hot while other items stream behind it)
-//   TaskPool         flat work-stealing for-each over n indices
+//                    cache-hot while other items stream behind it), so the
+//                    slowest unit of one stage never stalls the others
+//   parallelFor      flat for-each over n indices (parallel.hpp)
 //
 // All nodes run on a StreamRuntime: the caller drains as worker 0, helper
 // workers are borrowed from sharedPool() (cancellable — a saturated pool
 // just means the caller does all the work itself; nothing joins on a
-// specific thread), each worker owns a WorkStealingDeque and steals from
-// its peers when dry, and spawns from outside the worker set land on an
-// MPMC injection TaskQueue (taskqueue.hpp).
+// specific thread), each worker owns a WorkStealingDeque (deque.hpp) and
+// steals from its peers when dry, and spawns from outside the worker set
+// land on one more deque used FIFO as the injection channel.
 //
 // Determinism contract: results land in slots indexed by item, never in
 // completion order, so output is byte-identical at any worker count (a
@@ -61,18 +59,11 @@ struct NodeStats {
   [[nodiscard]] std::string renderText(usize indent = 0) const;
 };
 
-/// Process-wide stats registry. Nodes append their NodeStats after each
-/// run (unless PipeOptions.registerStats is off); `svale --pipeline-stats`
-/// drains and renders the tree after the command body finishes.
+/// Process-wide stats registry. Every node appends its NodeStats after each
+/// run; `svale --pipeline-stats` drains and renders the tree after the
+/// command body finishes.
 void registerPipelineStats(NodeStats stats);
 [[nodiscard]] std::vector<NodeStats> drainPipelineStats();
-
-struct PipeOptions {
-  /// 0 = resolve like parallelFor (configureThreads / SV_THREADS / cores).
-  usize threads = 0;
-  /// Append this run's NodeStats to the process-wide registry.
-  bool registerStats = true;
-};
 
 /// The execution substrate of the streaming nodes. Usage: construct, spawn
 /// seed tasks, call run() once; run() returns when every task — including
@@ -80,7 +71,7 @@ struct PipeOptions {
 /// rethrows the first task exception (the rest are counted, reported via
 /// suppressedErrorCount()). A task running on a worker spawns onto its own
 /// deque (LIFO continuation); any other thread spawns onto the injection
-/// queue. Helper workers are borrowed from sharedPool() and give
+/// deque. Helper workers are borrowed from sharedPool() and give
 /// themselves back the moment the graph drains.
 class StreamRuntime {
 public:
@@ -97,8 +88,6 @@ public:
   void run();
 
   [[nodiscard]] usize workerCount() const;
-  /// Task exceptions seen during the last run() (1 rethrown, rest counted).
-  [[nodiscard]] usize errorCount() const;
   /// Aggregated measurements; valid after run().
   [[nodiscard]] NodeStats stats() const;
 
@@ -106,21 +95,6 @@ public:
 
 private:
   std::shared_ptr<Impl> impl_;
-};
-
-/// Flat work-stealing for-each: run body(i) for i in [0, n), returning (and
-/// optionally registering) the node's measurements.
-class TaskPool {
-public:
-  explicit TaskPool(std::string name) : name_(std::move(name)) {}
-
-  NodeStats run(usize n, const std::function<void(usize)> &body, const PipeOptions &options = {});
-
-  [[nodiscard]] const NodeStats &lastStats() const { return lastStats_; }
-
-private:
-  std::string name_;
-  NodeStats lastStats_;
 };
 
 /// Typed stage chain over item types Ts... (N+1 types = N stages). Stage K
@@ -149,7 +123,10 @@ public:
     return *this;
   }
 
-  [[nodiscard]] std::vector<Out> run(std::vector<In> items, const PipeOptions &options = {}) {
+  /// Run every item through all stages and register the node's NodeStats.
+  /// `threads` resolves like parallelFor's (0 = configureThreads /
+  /// SV_THREADS / cores).
+  [[nodiscard]] std::vector<Out> run(std::vector<In> items, usize threads = 0) {
     for (auto &m : meta_) {
       m.busyNs.store(0, std::memory_order_relaxed);
       m.items.store(0, std::memory_order_relaxed);
@@ -157,7 +134,7 @@ public:
     const usize n = items.size();
     const auto wallStart = std::chrono::steady_clock::now();
     std::vector<Out> out(n);
-    StreamRuntime rt(name_, options.threads);
+    StreamRuntime rt(name_, threads);
     for (usize i = 0; i < n; ++i) {
       rt.spawn([this, &rt, &out, i, v = std::make_shared<In>(std::move(items[i]))]() mutable {
         execStage<0>(rt, std::move(*v), i, out);
@@ -178,12 +155,9 @@ public:
       child.wallMs = node.wallMs;
       node.children.push_back(std::move(child));
     }
-    lastStats_ = node;
-    if (options.registerStats) registerPipelineStats(std::move(node));
+    registerPipelineStats(std::move(node));
     return out;
   }
-
-  [[nodiscard]] const NodeStats &lastStats() const { return lastStats_; }
 
 private:
   struct StageMeta {
@@ -225,7 +199,6 @@ private:
   std::string name_;
   FnTuple fns_;
   std::array<StageMeta, kStageCount> meta_;
-  NodeStats lastStats_;
 };
 
 } // namespace sv

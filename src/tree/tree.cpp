@@ -229,12 +229,18 @@ Tree Tree::fromMsgpack(const msgpack::Value &v) {
     n.parent = p < 0 ? kNoParent : static_cast<u32>(p);
     n.file = static_cast<i32>(files[i].asInt());
     n.line = static_cast<i32>(lines[i].asInt());
+    if ((p < 0) != (i == 0)) throw ParseError("tree: node 0 must be the one root");
     if (p >= 0) {
       if (static_cast<usize>(p) >= labels.size()) throw ParseError("tree: bad parent index");
       t.nodes_[static_cast<usize>(p)].children.push_back(static_cast<NodeId>(i));
     }
   }
-  t.validate();
+  // A file is outside input, so its faults are ParseErrors, not the
+  // InternalErrors validate() raises for trees the program builds: with one
+  // root, a node the root cannot reach sits on a parent cycle.
+  usize reachable = 0;
+  t.visitPreorder([&](NodeId, usize) { ++reachable; });
+  if (reachable != t.nodes_.size()) throw ParseError("tree: parent cycle");
   return t;
 }
 

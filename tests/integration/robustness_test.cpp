@@ -12,6 +12,8 @@
 #include "minic/sema.hpp"
 #include "minif/fparser.hpp"
 #include "silvervale/silvervale.hpp"
+#include "support/compress.hpp"
+#include "support/msgpack.hpp"
 #include "tree/ted.hpp"
 #include "vm/vm.hpp"
 
@@ -186,6 +188,29 @@ TEST(FailureInjection, CorruptedDbRejected) {
   SUCCEED();
 }
 
+TEST(FailureInjection, CorruptTreeColumnsAreParseErrors) {
+  // A structurally broken parents column in an otherwise well-formed .svdb:
+  // second root, self-parent, parented root.
+  const auto bytes = db::index(corpus::make("babelstream", "serial")).db.serialise();
+  const auto decoded = msgpack::decode(svz::decompress(bytes));
+  for (const auto &parents : {msgpack::Array{-1, -1}, msgpack::Array{-1, 1}, msgpack::Array{1, 0}}) {
+    msgpack::Map tree;
+    tree.emplace("labels", msgpack::Array{"a", "b"});
+    tree.emplace("parents", parents);
+    tree.emplace("files", msgpack::Array{0, 0});
+    tree.emplace("lines", msgpack::Array{1, 2});
+    auto root = decoded.asMap();
+    auto units = root.at("units").asArray();
+    auto unit = units.at(0).asMap();
+    unit.at("tsem") = msgpack::Value(std::move(tree));
+    units[0] = msgpack::Value(std::move(unit));
+    root.at("units") = msgpack::Value(std::move(units));
+    const auto corrupt = svz::compress(msgpack::encode(msgpack::Value(std::move(root))));
+    EXPECT_THROW((void)db::CodebaseDb::deserialise(corrupt), ParseError)
+        << parents[0].asInt() << "," << parents[1].asInt();
+  }
+}
+
 TEST(FailureInjection, DeepNestingIsAFrontendError) {
   // Far past the bound (5000 parentheses deep in C, 20000 in Fortran): a
   // located FrontendError, not a stack overflow.
@@ -203,6 +228,16 @@ TEST(FailureInjection, DeepNestingIsAFrontendError) {
   EXPECT_THROW(
       (void)db::index(oneFileCodebase("chain.f90", powerChain + "\nend program p\n", "gfortran")),
       lang::FrontendError);
+  // Namespaces and template arguments nest through their own recursion.
+  std::string namespaces;
+  for (int i = 0; i < 100000; ++i) namespaces += "namespace a {\n";
+  EXPECT_THROW((void)silvervale::lintCodebase(oneFileCodebase("ns.cpp", namespaces, "c++")),
+               lang::FrontendError);
+  std::string templates = "int f() {\n  ";
+  for (int i = 0; i < 100000; ++i) templates += "vector<";
+  templates += "int" + std::string(100000, '>') + " x;\n  return 0;\n}\n";
+  EXPECT_THROW((void)silvervale::lintCodebase(oneFileCodebase("tpl.cpp", templates, "c++")),
+               lang::FrontendError);
   // One level past it is already rejected.
   const auto overC = oneFileCodebase("over.cpp", nestedC(kLimitParens, limitMinuses(1)), "c++");
   EXPECT_THROW((void)db::index(overC), lang::FrontendError);

@@ -283,14 +283,15 @@ int cmdClusterFuzz(const Args &args) {
 
   std::vector<tree::Tree> corpus(count);
   std::vector<std::string> labels(count);
-  parallelFor(count, [&](usize i) {
+  const auto generateOne = [&](usize i) {
     fuzz::GenOptions gen;
     gen.lang = i % 2 == 0 ? fuzz::Lang::MiniC : fuzz::Lang::MiniF;
     gen.seed = seed + i / 2;
     const auto program = fuzz::generate(gen);
     corpus[i] = fuzz::semTree(program);
     labels[i] = std::string(fuzz::langName(program.lang)) + "-" + std::to_string(program.seed);
-  });
+  };
+  parallelFor(count, generateOne, 0, "fuzz-corpus");
 
   metrics::QueryStats stats;
   const auto values = metrics::treeDistanceMatrix(corpus, tedOptionsFrom(args), cutoff, &stats);
@@ -648,8 +649,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "svale: %s\n", e.what());
     return usage();
   }
-  // One pool cap for every command (indexApp, divergenceMatrix, lint-dir,
-  // fuzz all route through parallelFor): --threads N behaves exactly like
+  // One worker cap for every command (indexApp, divergenceMatrix, lint-dir,
+  // fuzz all run on StreamRuntime nodes): --threads N behaves exactly like
   // SV_THREADS=N, with the flag taking precedence.
   if (const auto it = args.flags.find("threads"); it != args.flags.end()) {
     char *end = nullptr;
