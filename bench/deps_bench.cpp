@@ -5,8 +5,7 @@
 // modules. Writes BENCH_deps.json (median of N >= 3 runs per port) and
 // enforces the tier's cost budget: total deps cost must stay within
 // --max-ratio (default 2.0) of total IR lint cost, or the run exits
-// non-zero — `svale lint --deps` and indexing with runLint must remain
-// interactive.
+// non-zero — `svale lint --deps` must remain interactive.
 //
 // Usage: deps_bench [--runs N] [--out FILE] [--max-ratio R]
 #include <algorithm>

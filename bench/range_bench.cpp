@@ -5,8 +5,7 @@
 // pre-lowered modules. Writes BENCH_range.json (median of N >= 3 runs per
 // port) and enforces the tier's cost budget: total range cost must stay
 // within --max-ratio (default 2.0) of total deps cost, or the run exits
-// non-zero — `svale lint --range` and indexing with runLint must remain
-// interactive.
+// non-zero — `svale lint --range` must remain interactive.
 //
 // Usage: range_bench [--runs N] [--out FILE] [--max-ratio R]
 #include <algorithm>

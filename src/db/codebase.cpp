@@ -3,20 +3,17 @@
 #include <set>
 
 #include "ir/irtree.hpp"
-#include "lint/depslint.hpp"
-#include "lint/irlint.hpp"
-#include "lint/rangelint.hpp"
+#include "ir/lower.hpp"
 #include "minic/inliner.hpp"
 #include "minic/lexer.hpp"
 #include "minic/parser.hpp"
-#include "minic/preprocessor.hpp"
 #include "minic/sema.hpp"
 #include "minic/semtree.hpp"
 #include "minic/srctree.hpp"
 #include "minif/fparser.hpp"
 #include "minif/ftrees.hpp"
 #include "support/compress.hpp"
-#include "support/pipeline.hpp"
+#include "support/parallel.hpp"
 #include "support/strings.hpp"
 #include "text/text.hpp"
 
@@ -56,59 +53,11 @@ std::vector<i32> unitFiles(const Codebase &cb, i32 mainFile,
   return out;
 }
 
-// ---- the per-unit stage pipeline -----------------------------------------
-//
-// The old monolithic indexCxxUnit/indexFortranUnit bodies, cut at their
-// natural seams into four stages so units stream through a task graph
-// (support/pipeline.hpp): frontend (preprocess + parse + sema + AST-tier
-// lint) → trees (perceived-metric inputs + the four frontend trees) →
-// lower (backend IR + the IR/deps/range lint tiers + T_ir) → sign (bound
-// signatures). Every stage is a pure function of the carried state, so the
-// stage cut lines cannot change any output byte.
-
-/// The state of one translation unit in flight between stages.
-struct UnitWork {
-  const Codebase *cb = nullptr;
-  const CompileCommand *cmd = nullptr;
-  bool runLint = false;
-  bool fortran = false;
-  i32 fileId = -1;
-  minic::PreprocessResult pp; ///< C++ units only
-  lang::ast::TranslationUnit tu;
-  UnitEntry unit;
-};
-
-UnitWork unitFrontend(UnitWork w) {
-  const Codebase &cb = *w.cb;
-  const CompileCommand &cmd = *w.cmd;
-  const auto fileId = cb.sources.idOf(cmd.file);
-  SV_CHECK(fileId.has_value(), "compile command references unknown file " + cmd.file);
-  w.fileId = *fileId;
-  w.unit.file = cmd.file;
-  w.unit.role = fileStem(cmd.file);
-  if (w.fortran) {
-    w.unit.fortran = true;
-    const auto toks = minif::lexFortran(cb.sources.file(w.fileId).text, w.fileId);
-    w.tu = minif::parseFortran(toks, cmd.file, cb.sources);
-    if (w.runLint) w.unit.lint = lint::run(w.tu);
-  } else {
-    minic::PreprocessOptions ppOpts;
-    ppOpts.defines = definesFromCommand(cmd);
-    w.pp = minic::preprocess(cb.sources, w.fileId, ppOpts);
-    const auto ppToks = minic::lex(w.pp.text, w.fileId, &w.pp.lineOrigins);
-    w.tu = minic::parseTranslationUnit(ppToks, cmd.file, cb.sources);
-    w.tu.includes = w.pp.includes;
-    minic::analyse(w.tu);
-    if (w.runLint) w.unit.lint = lint::run(w.tu);
-  }
-  return w;
-}
-
-UnitWork unitTrees(UnitWork w) {
-  const Codebase &cb = *w.cb;
-  auto &unit = w.unit;
-  if (w.fortran) {
-    const auto &text = cb.sources.file(w.fileId).text;
+/// The perceived-metric inputs and the four frontend trees of one parsed
+/// unit (everything but T_ir).
+void buildTrees(const Codebase &cb, i32 fileId, const ParsedUnit &parsed, UnitEntry &unit) {
+  if (parsed.fortran) {
+    const auto &text = cb.sources.file(fileId).text;
     unit.normText = text::normalise(text, minif::fortranCommentRanges(text));
     unit.sloc = text::sloc(unit.normText);
     unit.lloc = text::lloc(unit.normText, /*fortran=*/true);
@@ -117,17 +66,17 @@ UnitWork unitTrees(UnitWork w) {
     unit.slocPp = unit.sloc;
     unit.llocPp = unit.lloc;
 
-    const auto toks = minif::lexFortran(text, w.fileId);
+    const auto toks = minif::lexFortran(text, fileId);
     unit.tsrc = minif::buildFortranSrcTree(toks);
     unit.tsrcPp = unit.tsrc;
-    unit.tsem = minif::buildFortranSemTree(w.tu);
+    unit.tsem = minif::buildFortranSemTree(parsed.tu);
     unit.tsemI = unit.tsem; // inlining is not implemented for GFortran (IV-B)
-    return w;
+    return;
   }
 
-  const auto &pp = w.pp;
+  const auto &pp = parsed.pp;
   // ---- perceived metric inputs -----------------------------------------
-  const auto files = unitFiles(cb, w.fileId, pp);
+  const auto files = unitFiles(cb, fileId, pp);
   for (usize i = 1; i < files.size(); ++i)
     unit.deps.push_back(cb.sources.file(files[i]).name);
   for (const i32 f : files) {
@@ -161,7 +110,7 @@ UnitWork unitTrees(UnitWork w) {
       const auto toks = minic::lex(cb.sources.file(f).text, f, nullptr, /*allowDirectives=*/true);
       unit.tsrc.graft(0, minic::buildSrcTree(toks));
     }
-    const auto ppToks = minic::lex(pp.text, w.fileId, &pp.lineOrigins);
+    const auto ppToks = minic::lex(pp.text, fileId, &pp.lineOrigins);
     // Preprocessed tree keeps system tokens out via pruning on file origin.
     auto full = minic::buildSrcTree(ppToks);
     unit.tsrcPp = full.pruneWhere([&](const tree::Node &n) {
@@ -171,11 +120,11 @@ UnitWork unitTrees(UnitWork w) {
 
   minic::SemTreeOptions semOpts;
   for (const i32 f : pp.systemFiles) semOpts.maskedFiles.insert(f);
-  unit.tsem = minic::buildSemTree(w.tu, semOpts);
+  unit.tsem = minic::buildSemTree(parsed.tu, semOpts);
 
   {
     // TranslationUnit holds unique_ptrs; clone explicitly for the inliner.
-    const auto &tu = w.tu;
+    const auto &tu = parsed.tu;
     lang::ast::TranslationUnit clone;
     clone.fileName = tu.fileName;
     clone.includes = tu.includes;
@@ -200,86 +149,40 @@ UnitWork unitTrees(UnitWork w) {
     minic::inlineUnit(clone, inlOpts);
     unit.tsemI = minic::buildSemTree(clone, semOpts);
   }
-  return w;
 }
 
-UnitWork unitLower(UnitWork w) {
-  auto &unit = w.unit;
-  ir::LowerOptions lowOpts;
-  lowOpts.model = modelFromCommand(*w.cmd);
-  const auto module = ir::lower(w.tu, lowOpts);
-  if (w.runLint) {
-    auto irDiags = lint::runIr(module);
-    unit.lint.insert(unit.lint.end(), irDiags.begin(), irDiags.end());
-    auto depDiags = lint::runDeps(module, {.unit = &w.tu});
-    unit.lint.insert(unit.lint.end(), depDiags.begin(), depDiags.end());
-    auto rangeDiags = lint::runRange(module);
-    unit.lint.insert(unit.lint.end(), rangeDiags.begin(), rangeDiags.end());
-  }
-  if (w.fortran) {
-    unit.tir = ir::buildIrTree(module);
+/// One translation unit through every indexing stage in sequence:
+/// frontend → trees → lower (T_ir) → bound signatures.
+UnitEntry indexUnit(const Codebase &cb, const CompileCommand &cmd) {
+  const ParsedUnit parsed = parseUnit(cb, cmd);
+  const i32 fileId = *cb.sources.idOf(cmd.file);
+  UnitEntry unit;
+  unit.file = cmd.file;
+  unit.role = fileStem(cmd.file);
+  unit.fortran = parsed.fortran;
+  buildTrees(cb, fileId, parsed, unit);
+
+  const auto module = ir::lower(parsed.tu, {.model = parsed.model});
+  auto irTree = ir::buildIrTree(module);
+  if (parsed.fortran) {
+    unit.tir = std::move(irTree);
   } else {
-    auto irTree = ir::buildIrTree(module);
     // Mask functions/globals defined in system headers out of T_ir.
     unit.tir = irTree.pruneWhere([&](const tree::Node &n) {
       const bool isTopLevel = str::startsWith(n.label, "Function:");
       if (!isTopLevel) return true;
-      return n.file < 0 || w.pp.systemFiles.count(n.file) == 0;
+      return n.file < 0 || parsed.pp.systemFiles.count(n.file) == 0;
     });
   }
-  return w;
-}
-
-UnitEntry unitSign(UnitWork w) {
-  w.unit.computeSignatures();
-  return std::move(w.unit);
+  unit.computeSignatures();
+  return unit;
 }
 
 } // namespace
 
-lang::ast::TranslationUnit linkForExecution(const Codebase &codebase) {
-  lang::ast::TranslationUnit merged;
-  merged.fileName = codebase.app + "/" + codebase.model;
-  for (const auto &cmd : codebase.commands) {
-    const auto fileId = codebase.sources.idOf(cmd.file);
-    SV_CHECK(fileId.has_value(), "link: unknown file " + cmd.file);
-    if (isFortranFile(cmd.file)) {
-      auto tu = minif::parseFortran(
-          minif::lexFortran(codebase.sources.file(*fileId).text, *fileId), cmd.file,
-          codebase.sources);
-      for (auto &f : tu.functions) merged.functions.push_back(std::move(f));
-      for (auto &g : tu.globals) merged.globals.push_back(std::move(g));
-      for (auto &s : tu.structs) merged.structs.push_back(std::move(s));
-      if (!tu.programName.empty()) merged.programName = tu.programName;
-    } else {
-      minic::PreprocessOptions ppOpts;
-      ppOpts.defines = definesFromCommand(cmd);
-      const auto pp = minic::preprocess(codebase.sources, *fileId, ppOpts);
-      const auto toks = minic::lex(pp.text, *fileId, &pp.lineOrigins);
-      auto tu = minic::parseTranslationUnit(toks, cmd.file, codebase.sources);
-      minic::analyse(tu);
-      for (auto &f : tu.functions) {
-        // Only definitions matter to the VM; headers spliced into several
-        // TUs would otherwise duplicate them — keep the first definition.
-        if (!f.body) continue;
-        const bool dup = std::any_of(merged.functions.begin(), merged.functions.end(),
-                                     [&](const auto &existing) { return existing.name == f.name; });
-        if (!dup) merged.functions.push_back(std::move(f));
-      }
-      for (auto &g : tu.globals) {
-        const bool dup = std::any_of(merged.globals.begin(), merged.globals.end(),
-                                     [&](const auto &e) { return e.var.name == g.var.name; });
-        if (!dup) merged.globals.push_back(std::move(g));
-      }
-      for (auto &s : tu.structs) merged.structs.push_back(std::move(s));
-    }
-  }
-  return merged;
-}
-
 ParsedUnit parseUnit(const Codebase &codebase, const CompileCommand &cmd) {
   const auto fileId = codebase.sources.idOf(cmd.file);
-  SV_CHECK(fileId.has_value(), "parseUnit: unknown file " + cmd.file);
+  SV_CHECK(fileId.has_value(), "compile command references unknown file " + cmd.file);
   ParsedUnit u;
   u.file = cmd.file;
   u.model = modelFromCommand(cmd);
@@ -291,13 +194,44 @@ ParsedUnit parseUnit(const Codebase &codebase, const CompileCommand &cmd) {
   } else {
     minic::PreprocessOptions ppOpts;
     ppOpts.defines = definesFromCommand(cmd);
-    const auto pp = minic::preprocess(codebase.sources, *fileId, ppOpts);
-    const auto toks = minic::lex(pp.text, *fileId, &pp.lineOrigins);
+    u.pp = minic::preprocess(codebase.sources, *fileId, ppOpts);
+    const auto toks = minic::lex(u.pp.text, *fileId, &u.pp.lineOrigins);
     u.tu = minic::parseTranslationUnit(toks, cmd.file, codebase.sources);
-    u.tu.includes = pp.includes;
+    u.tu.includes = u.pp.includes;
     minic::analyse(u.tu);
   }
   return u;
+}
+
+lang::ast::TranslationUnit linkForExecution(const Codebase &codebase) {
+  lang::ast::TranslationUnit merged;
+  merged.fileName = codebase.app + "/" + codebase.model;
+  for (const auto &cmd : codebase.commands) {
+    auto parsed = parseUnit(codebase, cmd);
+    auto &tu = parsed.tu;
+    if (parsed.fortran) {
+      for (auto &f : tu.functions) merged.functions.push_back(std::move(f));
+      for (auto &g : tu.globals) merged.globals.push_back(std::move(g));
+      for (auto &s : tu.structs) merged.structs.push_back(std::move(s));
+      if (!tu.programName.empty()) merged.programName = tu.programName;
+      continue;
+    }
+    for (auto &f : tu.functions) {
+      // Only definitions matter to the VM; headers spliced into several
+      // TUs would otherwise duplicate them — keep the first definition.
+      if (!f.body) continue;
+      const bool dup = std::any_of(merged.functions.begin(), merged.functions.end(),
+                                   [&](const auto &existing) { return existing.name == f.name; });
+      if (!dup) merged.functions.push_back(std::move(f));
+    }
+    for (auto &g : tu.globals) {
+      const bool dup = std::any_of(merged.globals.begin(), merged.globals.end(),
+                                   [&](const auto &e) { return e.var.name == g.var.name; });
+      if (!dup) merged.globals.push_back(std::move(g));
+    }
+    for (auto &s : tu.structs) merged.structs.push_back(std::move(s));
+  }
+  return merged;
 }
 
 std::vector<ParsedUnit> parseUnits(const Codebase &codebase) {
@@ -326,9 +260,11 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
                                     const IndexOptions &options) {
   std::vector<IndexResult> results(codebases.size());
 
-  // Per-codebase DB headers and unit-slot offsets (serial: cheap metadata).
-  std::vector<usize> unitBase(codebases.size(), 0);
-  std::vector<UnitWork> work;
+  // Per-codebase DB headers and pre-sized unit slots (serial: cheap metadata).
+  struct Slot {
+    usize codebase, unit;
+  };
+  std::vector<Slot> slots;
   for (usize c = 0; c < codebases.size(); ++c) {
     const Codebase &cb = *codebases[c];
     auto &out = results[c].db;
@@ -337,33 +273,20 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
     out.fortran = !cb.commands.empty() && isFortranFile(cb.commands[0].file);
     out.modelKind = cb.commands.empty() ? ir::Model::Serial : modelFromCommand(cb.commands[0]);
     for (const auto &f : cb.sources.files()) out.fileNames.push_back(f.name);
-    unitBase[c] = work.size();
-    for (const auto &cmd : cb.commands) {
-      UnitWork w;
-      w.cb = &cb;
-      w.cmd = &cmd;
-      w.runLint = options.runLint;
-      w.fortran = isFortranFile(cmd.file);
-      work.push_back(std::move(w));
-    }
+    out.units.resize(cb.commands.size());
+    for (usize k = 0; k < cb.commands.size(); ++k) slots.push_back({c, k});
   }
 
-  // One shared stage pipeline over the flattened unit stream: unit A can be
-  // lowering while unit B is still in sema, across codebase boundaries.
-  // Results land in indexed slots, so completion order never shows in the DB.
-  Pipeline<UnitWork, UnitWork, UnitWork, UnitWork, UnitEntry> pipe("db-index");
-  pipe.stage<0>("frontend", [](UnitWork &&w, usize) { return unitFrontend(std::move(w)); });
-  pipe.stage<1>("trees", [](UnitWork &&w, usize) { return unitTrees(std::move(w)); });
-  pipe.stage<2>("lower", [](UnitWork &&w, usize) { return unitLower(std::move(w)); });
-  pipe.stage<3>("sign", [](UnitWork &&w, usize) { return unitSign(std::move(w)); });
-  auto units = pipe.run(std::move(work), options.threads);
-
-  for (usize c = 0; c < codebases.size(); ++c) {
-    auto &out = results[c].db;
-    const usize n = codebases[c]->commands.size();
-    out.units.reserve(n);
-    for (usize k = 0; k < n; ++k) out.units.push_back(std::move(units[unitBase[c] + k]));
-  }
+  // One for-each over the flattened unit stream, across codebase
+  // boundaries: a slow unit of one port never stalls the others. Each task
+  // writes its own slot, so completion order never shows in the DB.
+  parallelFor(
+      slots.size(),
+      [&](usize i) {
+        const auto [c, k] = slots[i];
+        results[c].db.units[k] = indexUnit(*codebases[c], codebases[c]->commands[k]);
+      },
+      options.threads, "db-index");
 
   if (options.runCoverage) {
     // Coverage executes the linked program per codebase — its own for-each
@@ -374,9 +297,7 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
         [&](usize c) {
           auto &result = results[c];
           const auto merged = linkForExecution(*codebases[c]);
-          auto vmOpts = options.vmOptions;
-          vmOpts.fortran = result.db.fortran;
-          auto runResult = vm::run(merged, vmOpts);
+          auto runResult = vm::run(merged, {.fortran = result.db.fortran});
           result.db.coverage = runResult.coverage;
           result.db.hasCoverage = true;
           result.coverageRun = std::move(runResult);
@@ -395,32 +316,6 @@ IndexResult index(const Codebase &codebase, const IndexOptions &options) {
 namespace {
 
 msgpack::Value treeToMsg(const tree::Tree &t) { return t.toMsgpack(); }
-
-msgpack::Value diagToMsg(const lint::Diagnostic &d) {
-  msgpack::Map m;
-  m.emplace("check", static_cast<i64>(d.check));
-  m.emplace("severity", static_cast<i64>(d.severity));
-  m.emplace("file", static_cast<i64>(d.loc.file));
-  m.emplace("line", static_cast<i64>(d.loc.line));
-  m.emplace("col", static_cast<i64>(d.loc.col));
-  m.emplace("symbol", d.symbol);
-  m.emplace("directive", d.directive);
-  m.emplace("message", d.message);
-  return msgpack::Value(std::move(m));
-}
-
-lint::Diagnostic diagFromMsg(const msgpack::Value &v) {
-  lint::Diagnostic d;
-  d.check = static_cast<lint::Check>(v.at("check").asInt());
-  d.severity = static_cast<lint::Severity>(v.at("severity").asInt());
-  d.loc.file = static_cast<i32>(v.at("file").asInt());
-  d.loc.line = static_cast<i32>(v.at("line").asInt());
-  d.loc.col = static_cast<i32>(v.at("col").asInt());
-  d.symbol = v.at("symbol").asString();
-  d.directive = v.at("directive").asString();
-  d.message = v.at("message").asString();
-  return d;
-}
 
 msgpack::Value unitToMsg(const UnitEntry &u) {
   msgpack::Map m;
@@ -445,9 +340,6 @@ msgpack::Value unitToMsg(const UnitEntry &u) {
   for (const auto *s : {&u.sigTsrc, &u.sigTsrcPp, &u.sigTsem, &u.sigTsemI, &u.sigTir})
     sigs.push_back(s->toMsgpack());
   m.emplace("sigs", std::move(sigs));
-  msgpack::Array lintArr;
-  for (const auto &d : u.lint) lintArr.push_back(diagToMsg(d));
-  m.emplace("lint", std::move(lintArr));
   return msgpack::Value(std::move(m));
 }
 
@@ -479,7 +371,6 @@ UnitEntry unitFromMsg(const msgpack::Value &v) {
     // DB written before signatures existed: self-heal from the trees.
     u.computeSignatures();
   }
-  for (const auto &d : v.at("lint").asArray()) u.lint.push_back(diagFromMsg(d));
   return u;
 }
 

@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "db/compiledb.hpp"
+#include "ir/lower.hpp"
+#include "lang/ast.hpp"
 #include "lang/source.hpp"
-#include "lint/lint.hpp"
+#include "minic/preprocessor.hpp"
 #include "tree/tedbounds.hpp"
 #include "tree/tree.hpp"
 #include "vm/vm.hpp"
@@ -65,10 +67,6 @@ struct UnitEntry {
   /// (Re)derive the five signatures from the trees — called by the indexer
   /// and by deserialise() for DBs written before signatures existed.
   void computeSignatures();
-
-  /// Parallel-semantics diagnostics over the sema'd AST (populated when
-  /// IndexOptions.runLint is set; serialised with the DB).
-  std::vector<lint::Diagnostic> lint;
 };
 
 struct CodebaseDb {
@@ -89,17 +87,9 @@ struct IndexOptions {
   /// Execute the program in the VM and record line coverage. The entry
   /// point is "main" (or the Fortran program unit); all TUs are linked.
   bool runCoverage = false;
-  /// Run all three lint tiers per unit — the parallel-semantics checks over
-  /// the sema'd AST (lint::run), the CFG/dataflow checks over the lowered IR
-  /// (lint::runIr), and the loop dependence verdicts (lint::runDeps) — and
-  /// store the diagnostics in UnitEntry::lint. Off by default so the
-  /// divergence hot path does not pay for it (bench/lint_bench.cpp,
-  /// bench/irlint_bench.cpp and bench/deps_bench.cpp track the cost).
-  bool runLint = false;
-  vm::RunOptions vmOptions;
-  /// Worker count for the frontend → trees → lower → sign stage pipeline
-  /// (support/pipeline.hpp; 0 = configureThreads / SV_THREADS / hardware
-  /// default). The DB bytes do not depend on it.
+  /// Worker count for the `db-index` for-each over units (0 =
+  /// configureThreads / SV_THREADS / hardware default). The DB bytes do
+  /// not depend on it.
   usize threads = 0;
 };
 
@@ -112,9 +102,9 @@ struct IndexResult {
 /// Throws FrontendError / VmError on malformed corpus input.
 [[nodiscard]] IndexResult index(const Codebase &codebase, const IndexOptions &options = {});
 
-/// Index several codebases through ONE shared stage pipeline: the units of
-/// every codebase are flattened into a single item stream, so a slow unit
-/// of one port never stalls the others (indexApp/indexAllPorts route their
+/// Index several codebases through ONE for-each node: the units of every
+/// codebase are flattened into a single item stream, so a slow unit of one
+/// port never stalls the others (indexApp/indexAllPorts route their
 /// whole port set through here). Results are per-codebase, in input order,
 /// byte-identical to indexing each codebase alone.
 [[nodiscard]] std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebases,
@@ -125,25 +115,27 @@ struct IndexResult {
 [[nodiscard]] lang::ast::TranslationUnit linkForExecution(const Codebase &codebase);
 
 /// One translation unit through the frontend only (preprocess, parse,
-/// sema) — no trees, no IR. The cheap path for consumers that need the
-/// analysed AST per unit rather than the metric inputs (the linter, the
-/// lint bench).
+/// sema) — no trees, no IR. The one frontend path: indexing, linking for
+/// execution and the linter all start here.
 struct ParsedUnit {
   std::string file;
   bool fortran = false;
   ir::Model model = ir::Model::Serial; ///< from the unit's compile flags
+  minic::PreprocessResult pp;          ///< C++ units only; empty for Fortran
   lang::ast::TranslationUnit tu;
 };
 
 /// One compile command through the frontend (the per-unit step behind
-/// parseUnits, exposed so pipeline stages can stream units independently).
+/// parseUnits, exposed so per-unit for-each tasks can run units
+/// independently).
 [[nodiscard]] ParsedUnit parseUnit(const Codebase &codebase, const CompileCommand &cmd);
 
 /// Run the frontend over every compile command of `codebase`.
 [[nodiscard]] std::vector<ParsedUnit> parseUnits(const Codebase &codebase);
 
 /// One translation unit through frontend + backend lowering — the input of
-/// the IR-tier consumers (ir::verify gate, lint::runIr, the IR lint bench).
+/// the IR-tier consumers (ir::verify gate, lint::runIr, the deps and range
+/// benches).
 struct LoweredUnit {
   std::string file;
   ir::Model model = ir::Model::Serial;

@@ -26,6 +26,7 @@
 #include "minif/flexer.hpp"
 #include "minif/fparser.hpp"
 #include "minif/ftrees.hpp"
+#include "silvervale/silvervale.hpp"
 #include "support/strings.hpp"
 #include "tree/tedbounds.hpp"
 #include "tree/tedengine.hpp"
@@ -528,10 +529,10 @@ struct Parsed {
   return std::nullopt;
 }
 
-/// Thread-count invariance of the whole indexing pipeline over the
-/// generated program: the serialised DB (all lint tiers on, so frontend,
-/// trees, lowering and every diagnostic list are covered) at seeded 2–4
-/// workers must be byte-identical to the 1-worker reference.
+/// Thread-count invariance of indexing and linting over the generated
+/// program: the serialised DB (frontend, trees, lowering) and the all-tier
+/// lint report (every diagnostic list) at seeded 2–4 workers must be
+/// byte-identical to the 1-worker reference.
 [[nodiscard]] std::optional<std::string> checkPipeline(const GeneratedProgram &p) {
   db::Codebase cb;
   cb.app = "fuzz";
@@ -543,16 +544,25 @@ struct Parsed {
   if (p.model == "omp") cmd.args.push_back("-fopenmp");
   cb.commands.push_back(std::move(cmd));
 
-  db::IndexOptions options;
-  options.runLint = true;
-  options.threads = 1;
-  const auto reference = db::index(cb, options).db.serialise();
+  const auto run = [&cb](usize threads) {
+    db::IndexOptions index;
+    index.threads = threads;
+    silvervale::LintOptions lint;
+    lint.ir = lint.deps = lint.range = true;
+    lint.threads = threads;
+    return std::pair{db::index(cb, index).db.serialise(),
+                     silvervale::lintCodebase(cb, lint).renderText()};
+  };
+  const auto reference = run(1);
 
   const u64 mix = p.seed ^ 0x506970656cULL; // "Pipel"
   for (int round = 0; round < 3; ++round) {
-    options.threads = 2 + (mix >> (4 * round)) % 3;
-    if (db::index(cb, options).db.serialise() != reference)
-      return "DB at " + std::to_string(options.threads) +
+    const usize threads = 2 + (mix >> (4 * round)) % 3;
+    const auto [bytes, diags] = run(threads);
+    if (bytes != reference.first)
+      return "DB at " + std::to_string(threads) + " workers differs from the 1-worker reference";
+    if (diags != reference.second)
+      return "lint report at " + std::to_string(threads) +
              " workers differs from the 1-worker reference";
   }
   return std::nullopt;

@@ -35,10 +35,10 @@
 //               value-range analysis computed for the stores at that line
 //               (soundness); with --inject-range the seeded out-of-bounds
 //               and division-by-zero defects must both be reported
-//   pipeline    indexing the program (all lint tiers on) at seeded 2–4
-//               workers yields a byte-identical serialised DB to the
-//               1-worker reference — completion order must never leak
-//               into an output
+//   pipeline    indexing and all-tier linting of the program at seeded
+//               2–4 workers yield a byte-identical serialised DB and lint
+//               report to the 1-worker reference — completion order must
+//               never leak into an output
 #pragma once
 
 #include <optional>

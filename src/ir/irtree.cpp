@@ -37,14 +37,10 @@ std::string blockKind(const std::string &name) {
 
 } // namespace
 
-tree::Tree buildIrTree(const Module &m, const IrTreeOptions &options) {
+tree::Tree buildIrTree(const Module &m) {
   auto t = tree::Tree::leaf("Module");
-  for (const auto &g : m.globals) {
-    if (g.runtime && !options.includeRuntime) continue;
-    t.addChild(0, "GlobalVariable:" + g.type);
-  }
+  for (const auto &g : m.globals) t.addChild(0, "GlobalVariable:" + g.type);
   for (const auto &f : m.functions) {
-    if (f.role == FunctionRole::Runtime && !options.includeRuntime) continue;
     std::string label = "Function:" + f.returnType + "/" + std::to_string(f.argCount);
     switch (f.role) {
     case FunctionRole::User: break;

@@ -10,14 +10,8 @@
 
 namespace sv::ir {
 
-struct IrTreeOptions {
-  /// Include runtime/driver functions and globals (the offload boilerplate).
-  /// The paper's T_ir keeps them — that is precisely why offload models
-  /// "misbehave" — so this defaults to true; the coverage variant prunes
-  /// them instead.
-  bool includeRuntime = true;
-};
-
-[[nodiscard]] tree::Tree buildIrTree(const Module &m, const IrTreeOptions &options = {});
+/// Build T_ir. Runtime functions and globals (the offload
+/// boilerplate) are kept: that is precisely why offload models "misbehave".
+[[nodiscard]] tree::Tree buildIrTree(const Module &m);
 
 } // namespace sv::ir

@@ -157,7 +157,7 @@ public:
       if (!f.body) continue;
       lowerFunction(f);
     }
-    if (options_.emitRuntimeBoilerplate) emitBoilerplate();
+    emitBoilerplate();
     return std::move(module_);
   }
 
@@ -240,7 +240,7 @@ private:
     }
     module_.functions.push_back(std::move(fn));
 
-    if (isKernel && (m == Model::Cuda || m == Model::Hip) && options_.emitRuntimeBoilerplate) {
+    if (isKernel && (m == Model::Cuda || m == Model::Hip)) {
       // Host-side device stub: the __cudaPopCallConfiguration + launch
       // pattern clang emits for every __global__ function.
       const std::string rt = m == Model::Cuda ? "cuda" : "hip";

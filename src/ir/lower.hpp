@@ -41,9 +41,6 @@ enum class Model {
 
 struct LowerOptions {
   Model model = Model::Serial;
-  /// Emit the per-file offload/runtime boilerplate (on by default; the
-  /// ablation bench switches it off to quantify its share of T_ir).
-  bool emitRuntimeBoilerplate = true;
 };
 
 /// Lower a translation unit. Never fails on unresolved externals (they

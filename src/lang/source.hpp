@@ -62,8 +62,9 @@ private:
 };
 
 /// Deepest recursive-descent nesting either frontend accepts: open
-/// statements, expressions and unary operators, counted together. Deeper
-/// input is a FrontendError at the offending token, never a stack overflow.
+/// statements, expressions and unary operators, counted together, and, in
+/// the preprocessor, open #include files. Deeper input is a FrontendError
+/// at the offending token or #include, never a stack overflow.
 inline constexpr usize kMaxNesting = 256;
 
 /// One level of parser nesting, held for the duration of a recursive call.

@@ -10,7 +10,7 @@ using namespace lang::ast;
 
 class Inliner {
 public:
-  Inliner(TranslationUnit &unit, const InlineOptions &options) : unit_(unit), options_(options) {
+  Inliner(TranslationUnit &unit, const InlineOptions &options) : unit_(unit) {
     for (const auto &f : unit.functions) {
       if (!f.body) continue;
       if (f.loc.file >= 0 && options.systemFiles.count(f.loc.file)) continue;
@@ -19,7 +19,7 @@ public:
   }
 
   InlineStats run() {
-    for (usize pass = 0; pass < options_.maxDepth; ++pass) {
+    for (usize pass = 0; pass < kMaxInlineDepth; ++pass) {
       changed_ = false;
       for (auto &f : unit_.functions) {
         current_ = f.name;
@@ -32,7 +32,6 @@ public:
 
 private:
   TranslationUnit &unit_;
-  const InlineOptions &options_;
   std::map<std::string, const FunctionDecl *> bodies_;
   InlineStats stats_;
   std::string current_;

@@ -16,9 +16,10 @@ namespace sv::minic {
 struct InlineOptions {
   /// Files whose definitions must NOT be inlined (system/model headers).
   std::set<i32> systemFiles;
-  /// Maximum nesting of inlined bodies; bounds recursion.
-  usize maxDepth = 3;
 };
+
+/// Maximum nesting of inlined bodies; bounds recursion.
+inline constexpr usize kMaxInlineDepth = 3;
 
 struct InlineStats {
   usize inlinedCalls = 0;
@@ -27,7 +28,7 @@ struct InlineStats {
 /// Graft, onto every call whose callee is a function defined in `unit`
 /// outside the system files, a clone of the callee's body (stored in the
 /// call Expr's `body`; the T_sem generator renders it as part of the call's
-/// subtree). Runs `maxDepth` passes so calls inside inlined bodies are
+/// subtree). Runs `kMaxInlineDepth` passes so calls inside inlined bodies are
 /// themselves inlined. Direct recursion is never inlined.
 InlineStats inlineUnit(lang::ast::TranslationUnit &unit, const InlineOptions &options = {});
 

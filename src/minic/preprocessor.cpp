@@ -11,6 +11,11 @@ namespace {
 using lang::Location;
 using lang::SourceManager;
 
+/// Largest text one source line may expand to. Nested object-like macros
+/// multiply: ten levels of sixteen-fold bodies would be 16^9 tokens, so the
+/// expander stops at this cap instead of exhausting memory.
+constexpr usize kMaxLineExpansion = usize{1} << 20;
+
 struct Macro {
   bool functionLike = false;
   std::vector<std::string> params;
@@ -170,9 +175,16 @@ private:
     return p.orExpr();
   }
 
-  /// Expand macros in one line of ordinary source text.
-  [[nodiscard]] std::string expandMacros(const std::string &line, int depth = 0) const {
+  /// Expand macros in one line of ordinary source text (line `lineNo` of
+  /// `fileId`, where an over-long expansion is reported).
+  [[nodiscard]] std::string expandMacros(const std::string &line, i32 fileId, i32 lineNo,
+                                         int depth = 0) const {
     if (depth > 8) return line; // cycle guard
+    const auto checkSize = [&](const std::string &text) {
+      if (text.size() > kMaxLineExpansion)
+        fail(fileId, lineNo,
+             "macro expansion exceeds " + std::to_string(kMaxLineExpansion) + " bytes");
+    };
     std::string out;
     usize i = 0;
     bool changed = false;
@@ -205,6 +217,7 @@ private:
         const Macro &m = it->second;
         if (!m.functionLike) {
           out += m.body;
+          checkSize(out);
           changed = true;
           continue;
         }
@@ -238,6 +251,7 @@ private:
         for (usize pi = 0; pi < m.params.size() && pi < args.size(); ++pi)
           body = substituteWord(body, m.params[pi], std::string(str::trim(args[pi])));
         out += body;
+        checkSize(out);
         i = k;
         changed = true;
         continue;
@@ -245,7 +259,7 @@ private:
       out.push_back(c);
       ++i;
     }
-    return changed ? expandMacros(out, depth + 1) : out;
+    return changed ? expandMacros(out, fileId, lineNo, depth + 1) : out;
   }
 
   static std::string substituteWord(const std::string &text, const std::string &name,
@@ -381,6 +395,10 @@ private:
           result_.includes.push_back(
               lang::ast::IncludeDecl{path, system, Location{fileId, lineNo, 1}});
           if (const auto inc = resolveInclude(path, fileId)) {
+            if (includeStack_.size() >= lang::kMaxNesting)
+              fail(fileId, lineNo,
+                   "#include nested deeper than " + std::to_string(lang::kMaxNesting) +
+                       " levels");
             processFile(*inc, system);
           } else {
             result_.missingIncludes.push_back(path);
@@ -432,7 +450,7 @@ private:
         fail(fileId, lineNo, "unsupported preprocessor directive #" + dir);
       }
       if (!active()) continue;
-      emit(expandMacros(line), fileId, lineNo);
+      emit(expandMacros(line, fileId, lineNo), fileId, lineNo);
     }
     if (!conds.empty()) fail(fileId, static_cast<i32>(lines.size()), "unterminated #if block");
     includeStack_.pop_back();

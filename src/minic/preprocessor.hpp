@@ -39,7 +39,9 @@ struct PreprocessResult {
 /// by exact name, then by `include/<name>`. Unresolvable includes are
 /// recorded in `missingIncludes` and skipped — mirroring how SilverVale
 /// masks system headers it does not index. Throws FrontendError on
-/// malformed directives or include cycles.
+/// malformed directives, include cycles, includes nested deeper than
+/// lang::kMaxNesting, and a line whose macro expansion passes a fixed
+/// byte cap.
 [[nodiscard]] PreprocessResult preprocess(const lang::SourceManager &sm, i32 fileId,
                                           const PreprocessOptions &options = {});
 

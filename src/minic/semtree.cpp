@@ -297,12 +297,8 @@ private:
       break;
     }
     case ExprKind::ImplicitCast: {
-      if (options_.keepImplicitCasts) {
-        const auto n = add(parent, "ImplicitCastExpr", e.loc);
-        for (const auto &a : e.args) visitExpr(n, *a);
-      } else {
-        for (const auto &a : e.args) visitExpr(parent, *a); // filtered: splice through
-      }
+      // Non-semantic (ClangAST keeps it; T_sem filters it): splice through.
+      for (const auto &a : e.args) visitExpr(parent, *a);
       break;
     }
     case ExprKind::InitList: {

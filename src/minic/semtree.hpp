@@ -2,7 +2,7 @@
 // ClangAST-flavoured semantic tree. Per the paper: programmer-introduced
 // names are dropped (only node kinds survive), literals and operator
 // spellings are retained, non-semantic nodes (implicit casts) are filtered
-// by default, OpenMP/OpenACC directives become first-class directive nodes
+// out, OpenMP/OpenACC directives become first-class directive nodes
 // with clause children, and model-API calls grow the hidden
 // TemplateArgument / CXXConstructExpr children sema annotated.
 #pragma once
@@ -15,8 +15,6 @@
 namespace sv::minic {
 
 struct SemTreeOptions {
-  /// Keep ImplicitCast nodes (ClangAST keeps them; T_sem filters them).
-  bool keepImplicitCasts = false;
   /// Skip declarations whose location lies in one of these files (system
   /// headers are masked out of the metric, Section III-C).
   std::set<i32> maskedFiles;

@@ -9,7 +9,7 @@
 #include "lint/depslint.hpp"
 #include "lint/irlint.hpp"
 #include "lint/rangelint.hpp"
-#include "support/pipeline.hpp"
+#include "support/parallel.hpp"
 
 namespace sv::silvervale {
 
@@ -30,38 +30,25 @@ lint::Report lintCodebase(const db::Codebase &codebase, const LintOptions &optio
   report.app = codebase.app;
   report.model = codebase.model;
 
-  // parse → lint as pipeline stages: unit B parses while unit A is still in
-  // the (much heavier) lower+lint stage. Report order is input order.
-  std::vector<const db::CompileCommand *> cmds;
-  for (const auto &cmd : codebase.commands) cmds.push_back(&cmd);
-  Pipeline<const db::CompileCommand *, db::ParsedUnit, lint::UnitReport> pipe("lint-units");
-  pipe.stage<0>("parse", [&codebase](const db::CompileCommand *&&cmd, usize) {
-    return db::parseUnit(codebase, *cmd);
-  });
-  pipe.stage<1>("lint", [&options](db::ParsedUnit &&parsed, usize) {
-    lint::UnitReport unit;
-    unit.file = parsed.file;
-    unit.diags = lint::run(parsed.tu);
-    if (options.ir || options.deps || options.range) {
-      ir::LowerOptions lowOpts;
-      lowOpts.model = parsed.model;
-      const auto module = ir::lower(parsed.tu, lowOpts);
-      if (options.ir) {
-        const auto irDiags = lint::runIr(module);
-        unit.diags.insert(unit.diags.end(), irDiags.begin(), irDiags.end());
-      }
-      if (options.deps) {
-        const auto depDiags = lint::runDeps(module, {.unit = &parsed.tu});
-        unit.diags.insert(unit.diags.end(), depDiags.begin(), depDiags.end());
-      }
-      if (options.range) {
-        const auto rangeDiags = lint::runRange(module);
-        unit.diags.insert(unit.diags.end(), rangeDiags.begin(), rangeDiags.end());
-      }
-    }
-    return unit;
-  });
-  report.units = pipe.run(std::move(cmds), options.threads);
+  // One task per unit: parse, then every requested tier.
+  report.units.resize(codebase.commands.size());
+  parallelFor(
+      codebase.commands.size(),
+      [&](usize i) {
+        const auto parsed = db::parseUnit(codebase, codebase.commands[i]);
+        auto &unit = report.units[i];
+        unit.file = parsed.file;
+        unit.diags = lint::run(parsed.tu);
+        if (!options.ir && !options.deps && !options.range) return;
+        const auto module = ir::lower(parsed.tu, {.model = parsed.model});
+        const auto append = [&unit](const std::vector<lint::Diagnostic> &diags) {
+          unit.diags.insert(unit.diags.end(), diags.begin(), diags.end());
+        };
+        if (options.ir) append(lint::runIr(module));
+        if (options.deps) append(lint::runDeps(module, {.unit = &parsed.tu}));
+        if (options.range) append(lint::runRange(module));
+      },
+      options.threads, "lint-units");
   return report;
 }
 
@@ -69,22 +56,19 @@ DepsReport depsCodebase(const db::Codebase &codebase) {
   DepsReport report;
   report.app = codebase.app;
   report.model = codebase.model;
-  std::vector<const db::CompileCommand *> cmds;
-  for (const auto &cmd : codebase.commands) cmds.push_back(&cmd);
-  Pipeline<const db::CompileCommand *, db::LoweredUnit, DepsUnit> pipe("deps-units");
-  pipe.stage<0>("lower", [&codebase](const db::CompileCommand *&&cmd, usize) {
-    return db::lowerParsed(db::parseUnit(codebase, *cmd));
-  });
-  pipe.stage<1>("analyze", [](db::LoweredUnit &&lowered, usize) {
-    DepsUnit unit;
-    unit.file = lowered.file;
-    // The whole-codebase report is the expensive path anyway, so it runs
-    // under the interprocedural value ranges for the sharper verdicts.
-    const auto ranges = ir::analyzeModuleRanges(lowered.module);
-    unit.deps = ir::analyzeModule(lowered.module, &ranges);
-    return unit;
-  });
-  report.units = pipe.run(std::move(cmds));
+  report.units.resize(codebase.commands.size());
+  parallelFor(
+      codebase.commands.size(),
+      [&](usize i) {
+        const auto lowered = db::lowerParsed(db::parseUnit(codebase, codebase.commands[i]));
+        auto &unit = report.units[i];
+        unit.file = lowered.file;
+        // The whole-codebase report is the expensive path anyway, so it runs
+        // under the interprocedural value ranges for the sharper verdicts.
+        const auto ranges = ir::analyzeModuleRanges(lowered.module);
+        unit.deps = ir::analyzeModule(lowered.module, &ranges);
+      },
+      0, "deps-units");
   return report;
 }
 
@@ -217,31 +201,28 @@ RangeReport rangeCodebase(const db::Codebase &codebase) {
   RangeReport report;
   report.app = codebase.app;
   report.model = codebase.model;
-  std::vector<const db::CompileCommand *> cmds;
-  for (const auto &cmd : codebase.commands) cmds.push_back(&cmd);
-  Pipeline<const db::CompileCommand *, db::LoweredUnit, RangeUnit> pipe("range-units");
-  pipe.stage<0>("lower", [&codebase](const db::CompileCommand *&&cmd, usize) {
-    return db::lowerParsed(db::parseUnit(codebase, *cmd));
-  });
-  pipe.stage<1>("analyze", [](db::LoweredUnit &&lowered, usize) {
-    RangeUnit unit;
-    unit.file = lowered.file;
-    const auto mr = ir::analyzeModuleRanges(lowered.module);
-    for (const auto &fn : lowered.module.functions) {
-      if (fn.role == ir::FunctionRole::Runtime) continue;
-      const auto *fr = mr.rangesOf(fn.name);
-      if (!fr) continue;
-      RangeFunction rf;
-      rf.function = fn.name;
-      for (const auto &a : fr->argRanges) rf.argRanges.push_back(a.str());
-      rf.returnRange = fr->returnRange.str();
-      rf.rounds = fr->rounds;
-      unit.functions.push_back(std::move(rf));
-    }
-    unit.diags = lint::runRange(lowered.module);
-    return unit;
-  });
-  report.units = pipe.run(std::move(cmds));
+  report.units.resize(codebase.commands.size());
+  parallelFor(
+      codebase.commands.size(),
+      [&](usize i) {
+        const auto lowered = db::lowerParsed(db::parseUnit(codebase, codebase.commands[i]));
+        auto &unit = report.units[i];
+        unit.file = lowered.file;
+        const auto mr = ir::analyzeModuleRanges(lowered.module);
+        for (const auto &fn : lowered.module.functions) {
+          if (fn.role == ir::FunctionRole::Runtime) continue;
+          const auto *fr = mr.rangesOf(fn.name);
+          if (!fr) continue;
+          RangeFunction rf;
+          rf.function = fn.name;
+          for (const auto &a : fr->argRanges) rf.argRanges.push_back(a.str());
+          rf.returnRange = fr->returnRange.str();
+          rf.rounds = fr->rounds;
+          unit.functions.push_back(std::move(rf));
+        }
+        unit.diags = lint::runRange(lowered.module);
+      },
+      0, "range-units");
   return report;
 }
 
@@ -316,9 +297,9 @@ json::Value RangeReport::toJson() const {
 namespace {
 
 /// Materialise the ports and index them through ONE db::indexBatch call:
-/// the units of every port become a single item stream through the shared
-/// frontend→trees→lower→sign pipeline, so no port-level barrier remains
-/// and a slow port's tail unit never idles the workers.
+/// the units of every port become one `db-index` for-each (each task runs
+/// frontend→trees→lower→sign for one unit), so no port-level barrier
+/// remains and a slow port's tail unit never idles the workers.
 std::vector<db::CodebaseDb> indexPorts(const std::vector<std::pair<std::string, std::string>> &jobs,
                                        const IndexAppOptions &options) {
   std::vector<db::Codebase> codebases;
@@ -494,11 +475,6 @@ std::vector<perf::KernelWork> paperDeck(const std::string &app) {
   const auto cb = corpus::make(app, serialName);
 
   std::vector<perf::KernelWork> kernels;
-  for (const auto &cmd : cb.commands) {
-    const auto fileId = cb.sources.idOf(cmd.file);
-    SV_CHECK(fileId.has_value(), "paperDeck: missing file");
-    // Reuse the DB pipeline's lowering through a fresh index of one unit.
-  }
   // Lower via linkForExecution (whole program) and pick loop-bearing user
   // functions as kernels.
   const auto merged = db::linkForExecution(cb);

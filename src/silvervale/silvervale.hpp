@@ -33,7 +33,7 @@ struct IndexAppOptions {
   bool coverage = false;
   /// Restrict to these models (empty = all registered ports).
   std::vector<std::string> models;
-  /// Worker count for the pipeline (0 = configured/SV_THREADS/hardware).
+  /// Worker count for the `db-index` node (0 = configured/SV_THREADS/hardware).
   usize threads = 0;
 };
 
@@ -116,8 +116,8 @@ struct LintOptions {
   /// division-by-zero / dead-branch / zero-trip-loop verdicts from the
   /// interprocedural interval analysis over the SSA overlay.
   bool range = false;
-  /// Worker count for the parse→lint pipeline (0 = configured default).
-  /// Unit order in the report is input order at any count.
+  /// Worker count for the per-unit `lint-units` node (0 = configured
+  /// default). Unit order in the report is input order at any count.
   usize threads = 0;
 };
 

@@ -20,9 +20,8 @@
 namespace sv {
 
 /// Per-worker deque for the streaming runtime. The owning worker pushes and
-/// pops at the bottom (LIFO — freshly spawned continuation tasks run next,
-/// keeping one item's pipeline stages cache-hot and the in-flight set
-/// small); idle workers steal from the top (FIFO — they take the oldest,
+/// pops at the bottom (LIFO — freshly spawned tasks run next, keeping the
+/// worker's data cache-hot and the in-flight set small); idle workers steal from the top (FIFO — they take the oldest,
 /// coarsest work). Any thread may call any method; ownership is a usage
 /// convention, not a safety requirement.
 template <typename T> class WorkStealingDeque {

@@ -1,5 +1,6 @@
 #include "support/pipeline.hpp"
 
+#include <chrono>
 #include <iomanip>
 #include <sstream>
 
@@ -23,26 +24,6 @@ double NodeStats::occupancy() const {
   return busyMs / (wallMs * static_cast<double>(workers));
 }
 
-json::Value NodeStats::toJson() const {
-  json::Object o;
-  o.emplace("name", json::Value(name));
-  o.emplace("workers", json::Value(workers));
-  o.emplace("items", json::Value(items));
-  o.emplace("steals", json::Value(steals));
-  o.emplace("max_queue_depth", json::Value(maxQueueDepth));
-  o.emplace("busy_ms", json::Value(busyMs));
-  o.emplace("wall_ms", json::Value(wallMs));
-  o.emplace("throughput_per_s", json::Value(throughput()));
-  o.emplace("occupancy", json::Value(occupancy()));
-  if (!children.empty()) {
-    json::Array kids;
-    kids.reserve(children.size());
-    for (const auto &c : children) kids.push_back(c.toJson());
-    o.emplace("stages", json::Value(std::move(kids)));
-  }
-  return json::Value(std::move(o));
-}
-
 std::string NodeStats::renderText(usize indent) const {
   std::ostringstream out;
   out << std::string(indent * 2, ' ') << name;
@@ -50,7 +31,6 @@ std::string NodeStats::renderText(usize indent) const {
   out << "  items=" << items << " workers=" << workers << " occ=" << occupancy() * 100 << "%"
       << " steals=" << steals << " maxq=" << maxQueueDepth << " busy=" << busyMs
       << "ms wall=" << wallMs << "ms thr=" << throughput() << "/s\n";
-  for (const auto &c : children) out << c.renderText(indent + 1);
   return out.str();
 }
 

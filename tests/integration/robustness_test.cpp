@@ -238,12 +238,52 @@ TEST(FailureInjection, DeepNestingIsAFrontendError) {
   templates += "int" + std::string(100000, '>') + " x;\n  return 0;\n}\n";
   EXPECT_THROW((void)silvervale::lintCodebase(oneFileCodebase("tpl.cpp", templates, "c++")),
                lang::FrontendError);
+  // Nested object-like macros multiply: ten sixteen-fold levels would be
+  // 16^9 tokens. The expansion of the source line stops at a byte cap.
+  std::string macros;
+  for (int k = 0; k < 9; ++k) {
+    macros += "#define A" + std::to_string(k);
+    for (int r = 0; r < 16; ++r) macros += " A" + std::to_string(k + 1);
+    macros += "\n";
+  }
+  macros += "#define A9 1\nint f() {\n  return A0;\n}\n";
+  try {
+    (void)silvervale::lintCodebase(oneFileCodebase("macro.cpp", macros, "c++"));
+    ADD_FAILURE() << "macro chain was accepted";
+  } catch (const lang::FrontendError &e) {
+    EXPECT_EQ(e.where(), "macro.cpp:12");
+  }
   // One level past it is already rejected.
   const auto overC = oneFileCodebase("over.cpp", nestedC(kLimitParens, limitMinuses(1)), "c++");
   EXPECT_THROW((void)db::index(overC), lang::FrontendError);
   const auto overF =
       oneFileCodebase("over.f90", nestedFortran(kLimitParens, limitMinuses(1)), "gfortran");
   EXPECT_THROW((void)db::index(overF), lang::FrontendError);
+}
+
+TEST(FailureInjection, DeepIncludeChainIsAFrontendError) {
+  // h0.h includes h1.h includes h2.h ...: `depth` headers below main.cpp.
+  const auto chain = [](usize depth) {
+    db::Codebase cb = oneFileCodebase("main.cpp", "#include \"h0.h\"\nint main() { return 0; }\n",
+                                      "c++");
+    for (usize i = 0; i < depth; ++i) {
+      const std::string next =
+          i + 1 < depth ? "#include \"h" + std::to_string(i + 1) + ".h\"\n" : "";
+      cb.addFile("h" + std::to_string(i) + ".h", next + "int g" + std::to_string(i) + ";\n");
+    }
+    return cb;
+  };
+  // 20000 deep overflowed the stack; now the include that opens file 257
+  // fails, located at that #include.
+  try {
+    (void)silvervale::lintCodebase(chain(20000));
+    ADD_FAILURE() << "include chain was accepted";
+  } catch (const lang::FrontendError &e) {
+    EXPECT_EQ(e.where(), "h254.h:1");
+  }
+  // main.cpp plus 255 headers is exactly kMaxNesting open files: accepted.
+  EXPECT_NO_THROW((void)silvervale::lintCodebase(chain(lang::kMaxNesting - 1)));
+  EXPECT_THROW((void)silvervale::lintCodebase(chain(lang::kMaxNesting)), lang::FrontendError);
 }
 
 TEST(FailureInjection, NestingAtTheLimitRunsEveryTier) {

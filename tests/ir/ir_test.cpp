@@ -5,6 +5,7 @@
 #include "ir/lower.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
+#include "support/strings.hpp"
 #include "tree/ted.hpp"
 
 using namespace sv;
@@ -168,17 +169,15 @@ TEST(Lower, HipMirrorsCudaWithManagedGlobal) {
   EXPECT_TRUE(managed);
 }
 
-TEST(Lower, BoilerplateSuppressible) {
-  const auto with = lowerSrc("__global__ void k(double* a) { a[0] = 1.0; }", Model::Cuda);
-  auto tu = minic::parseTranslationUnit(
-      minic::lex("__global__ void k(double* a) { a[0] = 1.0; }", 0), "t.cpp", gSm);
-  minic::analyse(tu);
-  LowerOptions opts;
-  opts.model = Model::Cuda;
-  opts.emitRuntimeBoilerplate = false;
-  const auto without = lower(tu, opts);
-  EXPECT_GT(with.functions.size(), without.functions.size());
-  EXPECT_GT(with.globals.size(), without.globals.size());
+TEST(Lower, BoilerplateAlwaysEmitted) {
+  // The offload boilerplate is part of every lowering: the CUDA module of a
+  // kernel carries functions and globals the serial lowering of the same
+  // source lacks.
+  const std::string src = "__global__ void k(double* a) { a[0] = 1.0; }";
+  const auto cuda = lowerSrc(src, Model::Cuda);
+  const auto serial = lowerSrc(src, Model::Serial);
+  EXPECT_GT(cuda.functions.size(), serial.functions.size());
+  EXPECT_GT(cuda.globals.size(), serial.globals.size());
 }
 
 TEST(Lower, SyclLambdaOutlinedAndRegistered) {
@@ -244,13 +243,18 @@ TEST(IrTree, RegisterNumbersDoNotDiverge) {
 }
 
 TEST(IrTree, OffloadBoilerplateInflatesTree) {
+  // T_ir keeps the host stub and the runtime functions, so the CUDA tree of
+  // a kernel outgrows the serial tree of the same source.
   const std::string src = "__global__ void k(double* a) { a[0] = 1.0; }";
-  const auto cuda = lowerSrc(src, Model::Cuda);
-  const auto t = buildIrTree(cuda);
-  IrTreeOptions noRt;
-  noRt.includeRuntime = false;
-  const auto pruned = buildIrTree(cuda, noRt);
-  EXPECT_GT(t.size(), pruned.size());
+  const auto t = buildIrTree(lowerSrc(src, Model::Cuda));
+  usize stubs = 0, runtime = 0;
+  for (const auto &n : t.nodes()) {
+    if (str::startsWith(n.label, "Function:") && str::endsWith(n.label, ":stub")) ++stubs;
+    if (str::startsWith(n.label, "Function:") && str::endsWith(n.label, ":runtime")) ++runtime;
+  }
+  EXPECT_EQ(stubs, 1u);
+  EXPECT_GE(runtime, 1u);
+  EXPECT_GT(t.size(), buildIrTree(lowerSrc(src, Model::Serial)).size());
 }
 
 TEST(IrTree, RuntimeEntryPointsKept) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.hpp"
-#include "db/codebase.hpp"
 #include "silvervale/silvervale.hpp"
 
 using namespace sv;
@@ -67,54 +66,4 @@ TEST(LintClean, EveryCorpusPortIsIrClean) {
     }
   }
   EXPECT_GE(ports, 40u);
-}
-
-TEST(LintDb, IndexStoresAndRoundTripsDiagnostics) {
-  // A seeded race in a synthetic codebase must survive index → serialise →
-  // deserialise, so lint results stored in a .svdb are trustworthy.
-  db::Codebase cb;
-  cb.app = "synthetic";
-  cb.model = "omp";
-  cb.addFile("race.cpp", R"(
-    int main() {
-      double a[4];
-      double t;
-      #pragma omp parallel for
-      for (int i = 0; i < 4; ++i) {
-        t = a[i];
-        a[i] = t;
-      }
-      return 0;
-    }
-  )");
-  db::CompileCommand cmd;
-  cmd.file = "race.cpp";
-  cmd.args = {"c++", "race.cpp"};
-  cb.commands.push_back(cmd);
-
-  db::IndexOptions opts;
-  opts.runLint = true;
-  const auto db = db::index(cb, opts).db;
-  ASSERT_EQ(db.units.size(), 1u);
-  ASSERT_FALSE(db.units[0].lint.empty());
-  EXPECT_EQ(db.units[0].lint[0].check, lint::Check::DataRace);
-  EXPECT_EQ(db.units[0].lint[0].symbol, "t");
-
-  const auto roundTrip = db::CodebaseDb::deserialise(db.serialise());
-  ASSERT_EQ(roundTrip.units.size(), 1u);
-  EXPECT_EQ(roundTrip.units[0].lint, db.units[0].lint);
-}
-
-TEST(LintDb, LintOffByDefault) {
-  db::Codebase cb;
-  cb.app = "synthetic";
-  cb.model = "serial";
-  cb.addFile("m.cpp", "int main() { return 0; }\n");
-  db::CompileCommand cmd;
-  cmd.file = "m.cpp";
-  cmd.args = {"c++", "m.cpp"};
-  cb.commands.push_back(cmd);
-  const auto db = db::index(cb).db;
-  ASSERT_EQ(db.units.size(), 1u);
-  EXPECT_TRUE(db.units[0].lint.empty());
 }

@@ -19,7 +19,7 @@ namespace {
 constexpr std::array<usize, 3> kWorkerCounts = {1, 2, 4};
 constexpr int kRuns = 2;
 
-/// Caps every pipeline node and parallelFor at `workers` for one scope.
+/// Caps every parallelFor node at `workers` for one scope.
 /// Sizes the shared pool first, so a 1-worker cap never becomes the pool's
 /// permanent size.
 class WorkerCap {

@@ -1,8 +1,7 @@
 // Stress and semantics tests for the streaming runtime: the per-worker
 // WorkStealingDeque (operation-count invariants under a concurrent owner
-// and stealers), StreamRuntime, and the pattern nodes built on it
-// (Pipeline, parallelFor). Node measurements are read back through the
-// process-wide registry. The silvervale-level thread-count invariance tests
+// and stealers), StreamRuntime, and the one node built on it (parallelFor).
+// Node measurements are read back through the process-wide registry. The silvervale-level thread-count invariance tests
 // live in tests/silvervale/thread_invariance_test.cpp.
 #include <gtest/gtest.h>
 
@@ -116,41 +115,9 @@ NodeStats drainOne() {
   return drained.empty() ? NodeStats{} : std::move(drained.back());
 }
 
-/// 2-stage pipeline used by the node tests: square then stringify.
-std::vector<std::string> runSquarePipe(usize threads, NodeStats *statsOut) {
-  Pipeline<usize, usize, std::string> pipe("square-pipe");
-  pipe.stage<0>("square", [](usize &&v, usize) { return v * v; });
-  pipe.stage<1>("render", [](usize &&v, usize) { return std::to_string(v); });
-  std::vector<usize> in(100);
-  for (usize i = 0; i < in.size(); ++i) in[i] = i;
-  (void)drainPipelineStats();
-  auto out = pipe.run(std::move(in), threads);
-  *statsOut = drainOne();
-  return out;
-}
-
 } // namespace
 
-TEST(PipelineNode, FourWorkersMatchOneWorkerInSlotOrder) {
-  NodeStats one;
-  NodeStats four;
-  const auto a = runSquarePipe(1, &one);
-  const auto b = runSquarePipe(4, &four);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a[7], "49");
-  // Both runs report per-stage children with full item counts.
-  for (const auto &node : {one, four}) {
-    EXPECT_EQ(node.name, "square-pipe");
-    ASSERT_EQ(node.children.size(), 2u);
-    EXPECT_EQ(node.children[0].name, "square");
-    EXPECT_EQ(node.children[1].name, "render");
-    for (const auto &stage : node.children) EXPECT_EQ(stage.items, 100u);
-    EXPECT_EQ(node.items, 200u); // 100 items x 2 stages as tasks
-    EXPECT_GT(node.occupancy(), 0.0);
-  }
-}
-
-TEST(TaskPoolNode, OneAndFourWorkersCoverAllIndices) {
+TEST(ParallelForNode, OneAndFourWorkersCoverAllIndices) {
   for (const usize threads : {usize{1}, usize{4}}) {
     std::vector<std::atomic<int>> hits(500);
     (void)drainPipelineStats();
@@ -166,14 +133,13 @@ TEST(TaskPoolNode, OneAndFourWorkersCoverAllIndices) {
 
 TEST(PipelineStats, RegistryDrainsOnce) {
   (void)drainPipelineStats(); // clear anything earlier tests registered
-  Pipeline<usize, usize> pipe("registered-pipe");
-  pipe.stage<0>("echo", [](usize &&v, usize) { return v; });
-  (void)pipe.run(std::vector<usize>(10), 2);
-  parallelFor(10, [](usize) {}, 2);
+  parallelFor(7, [](usize) {}, 2, "first-node");
+  parallelFor(10, [](usize) {}, 2, "second-node");
   const auto drained = drainPipelineStats();
   ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].name, "registered-pipe");
-  EXPECT_EQ(drained[1].name, "parallel-for");
+  EXPECT_EQ(drained[0].name, "first-node");
+  EXPECT_EQ(drained[0].items, 7u);
+  EXPECT_EQ(drained[1].name, "second-node");
   EXPECT_EQ(drained[1].items, 10u);
   EXPECT_TRUE(drainPipelineStats().empty());
 }

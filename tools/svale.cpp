@@ -94,8 +94,8 @@ int usage() {
       "identical distances; zs is the uncached cross-check oracle (slow)\n"
       "--threads N caps the shared worker pool for every command\n"
       "(equivalent to the SV_THREADS environment variable)\n"
-      "--pipeline-stats prints the per-node throughput/occupancy/steal\n"
-      "tree of every pipeline the command ran\n");
+      "--pipeline-stats prints one throughput/occupancy/steal row per\n"
+      "runtime node the command ran\n");
   return 2;
 }
 
@@ -675,7 +675,7 @@ int main(int argc, char **argv) {
   if (args.has("pipeline-stats")) {
     const auto nodes = drainPipelineStats();
     if (nodes.empty()) {
-      std::printf("pipeline-stats: no pipeline nodes ran\n");
+      std::printf("pipeline-stats: no runtime nodes ran\n");
     } else {
       std::printf("pipeline-stats:\n");
       for (const auto &node : nodes) std::printf("%s", node.renderText(1).c_str());
