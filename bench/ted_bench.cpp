@@ -4,8 +4,8 @@
 // configuration) so future PRs have a perf trajectory to compare against.
 // The engine cache is cleared before every engine-on run, so the reported
 // speedup is the cold, single-matrix win (view reuse across pairs, the
-// symmetric pair memo, fingerprint short-circuits, cached strategy
-// matrices) — not warm-cache replay. Each cell also records the
+// symmetric pair memo, fingerprint short-circuits) — not warm-cache
+// replay. Each cell also records the
 // strategy-choice histogram (single-path kernels and forest-DP cells per
 // PathKind) from the EngineStats counters.
 //
@@ -80,7 +80,6 @@ json::Object strategyHistogram(const tree::EngineStats &s) {
   h.emplace("kernels", json::Value(std::move(kernels)));
   h.emplace("subproblems", json::Value(std::move(cells)));
   h.emplace("strategy_misses", json::Value(s.strategyMisses));
-  h.emplace("strategy_hits", json::Value(s.strategyHits));
   h.emplace("subtree_block_hits", json::Value(s.subtreeBlockHits));
   return h;
 }
@@ -142,7 +141,6 @@ int main(int argc, char **argv) {
   engine.emplace("memo_hits", json::Value(stats.memoHits));
   engine.emplace("memo_misses", json::Value(stats.memoMisses));
   engine.emplace("whole_tree_shortcuts", json::Value(stats.wholeTreeShortcuts));
-  engine.emplace("strategy_hits", json::Value(stats.strategyHits));
   engine.emplace("strategy_misses", json::Value(stats.strategyMisses));
   engine.emplace("subtree_block_hits", json::Value(stats.subtreeBlockHits));
   report.emplace("engine_stats_last_run", json::Value(std::move(engine)));

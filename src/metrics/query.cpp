@@ -186,11 +186,14 @@ std::vector<Neighbor> rangeDivergence(const db::CodebaseDb &query,
                                       u64 radius, Metric metric, Variant variant,
                                       const tree::TedOptions &ted, const MatchOptions &match,
                                       QueryStats *stats) {
-  const u64 cut = radius + 1; // exact for every distance <= radius
+  // Exact for every distance <= radius. No cutoff exceeds UINT64_MAX, and
+  // every distance is within it, so that radius evaluates all exactly.
+  const u64 cut = radius == ~u64{0} ? 0 : radius + 1;
   std::vector<Neighbor> out;
   for (usize i = 0; i < corpus.size(); ++i) {
     if (stats) ++stats->candidates;
-    if (divergenceLowerBound(query, *corpus[i], metric, variant, ted.costs, match) >= cut) {
+    if (cut > 0 &&
+        divergenceLowerBound(query, *corpus[i], metric, variant, ted.costs, match) >= cut) {
       if (stats) ++stats->prunedByBound;
       continue;
     }

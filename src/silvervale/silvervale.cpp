@@ -450,6 +450,7 @@ analysis::DistanceMatrix divergenceMatrix(const IndexedApp &app, metrics::Metric
 analysis::DistanceMatrix portMatrix(const std::vector<CorpusPort> &ports, metrics::Metric metric,
                                     metrics::Variant variant, const tree::TedOptions &ted,
                                     double radius, metrics::QueryStats *stats) {
+  SV_CHECK(radius >= 0 && radius <= 1, "portMatrix: radius must lie in [0, 1]");
   std::vector<std::string> labels;
   std::vector<const db::CodebaseDb *> dbs;
   for (const auto &p : ports) {

@@ -73,8 +73,9 @@ struct CorpusPort {
 /// reaches `radius` are capped at exactly `radius` (signature bounds prune
 /// many without any DP), while every entry below it stays exact — which is
 /// all k-medoids / complete-linkage need when clusters live below the
-/// radius. `stats` (optional) accumulates filter effectiveness per
-/// direction evaluated.
+/// radius. `radius` is a normalised divergence and must lie in [0, 1].
+/// `stats` (optional) accumulates filter effectiveness per direction
+/// evaluated.
 [[nodiscard]] analysis::DistanceMatrix portMatrix(const std::vector<CorpusPort> &ports,
                                                   metrics::Metric metric,
                                                   metrics::Variant variant = {},

@@ -1,5 +1,8 @@
 #include "support/cliargs.hpp"
 
+#include <charconv>
+#include <cmath>
+
 namespace sv::cli {
 
 Args parseArgs(const std::vector<std::string> &argv, const FlagSpec &spec) {
@@ -53,6 +56,25 @@ Args parseArgs(int argc, char **argv, int first, const FlagSpec &spec) {
   args.reserve(static_cast<usize>(argc > first ? argc - first : 0));
   for (int i = first; i < argc; ++i) args.emplace_back(argv[i]);
   return parseArgs(args, spec);
+}
+
+u64 parseU64(const std::string &value, const std::string &flag) {
+  // from_chars takes no sign and no whitespace for an unsigned type.
+  u64 v = 0;
+  const char *end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec != std::errc{} || ptr != end)
+    throw UsageError("--" + flag + " expects an unsigned integer, got '" + value + "'");
+  return v;
+}
+
+double parseDouble(const std::string &value, const std::string &flag) {
+  double v = 0;
+  const char *end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || value[0] == '-' || ec != std::errc{} || ptr != end || !std::isfinite(v))
+    throw UsageError("--" + flag + " expects a non-negative number, got '" + value + "'");
+  return v;
 }
 
 } // namespace sv::cli

@@ -53,4 +53,13 @@ struct Args {
 /// Convenience overload over main()'s argv, starting at index `first`.
 [[nodiscard]] Args parseArgs(int argc, char **argv, int first, const FlagSpec &spec);
 
+/// `value` as an unsigned decimal integer. Throws UsageError naming `flag`
+/// for anything else: empty text, a sign, trailing characters, or a number
+/// above UINT64_MAX.
+[[nodiscard]] u64 parseU64(const std::string &value, const std::string &flag);
+
+/// `value` as a finite, non-negative decimal number. Throws UsageError
+/// naming `flag` for a sign, trailing characters, nan, inf, or overflow.
+[[nodiscard]] double parseDouble(const std::string &value, const std::string &flag);
+
 } // namespace sv::cli

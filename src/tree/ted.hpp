@@ -64,9 +64,9 @@ struct TedOptions {
 
 /// The APTED-class core: per-tree indices, the strategy DP and the
 /// single-path distance kernels. Exposed so the shared-view engine
-/// (tree/tedengine) can cache indices and strategy matrices per tree /
-/// tree pair, and so the ablation bench and tests can inspect strategy
-/// costs directly. `ted()` with TedAlgo::Apted is the self-contained entry.
+/// (tree/tedengine) can cache one index per tree, and so the ablation
+/// bench and tests can inspect strategy costs directly. `ted()` with
+/// TedAlgo::Apted is the self-contained entry.
 namespace apted {
 
 /// One decomposition orientation of an indexed tree. Positions are 1-based
@@ -111,7 +111,9 @@ enum class PathKind : u8 { LeftA = 0, RightA = 1, LeftB = 2, RightB = 3 };
 /// The per-subtree-pair decomposition plan. `pick[(v-1)*n2 + (w-1)]` holds
 /// the PathKind for canonical subtree pair (v, w); `cost` is the exact
 /// relevant-subproblem count of the optimal plan at the root pair (always
-/// <= the best whole-tree orientation product).
+/// <= the best whole-tree orientation product). As in APTED, a plan is
+/// computed for one pair, executed once and dropped: it takes n1 * n2
+/// bytes, and every caller (`ted()` and the engine) runs it right away.
 struct Strategy {
   usize n1 = 0, n2 = 0;
   std::vector<u8> pick;
@@ -123,9 +125,7 @@ struct Strategy {
 };
 
 /// The O(n1*n2) strategy DP over all subtree pairs, bottom-up in both
-/// trees. Structural only: independent of TedCosts, so one matrix serves
-/// every cost configuration of a tree pair (the engine caches it by
-/// fingerprint pair).
+/// trees. Structural only: independent of TedCosts.
 [[nodiscard]] Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b);
 
 /// Execution counters for one distance run, attributed per path kind so

@@ -56,6 +56,13 @@ struct PairKeyHash {
   }
 };
 
+/// What the memo knows about a pair: its exact distance, or, after a DP
+/// abandoned at cutoff c, the proven lower bound c.
+struct PairOutcome {
+  u64 value = 0;
+  bool exact = false;
+};
+
 struct ViewKey {
   u64 fp = 0;
   usize n = 0;
@@ -68,26 +75,6 @@ struct ViewKeyHash {
   }
 };
 
-/// Strategy-cache key: the *canonical* pair orientation (same ordering as
-/// PairKey). The plan itself is orientation-specific — strategy(a, b)
-/// decomposes different trees than strategy(b, a) — so the engine always
-/// executes the DP in canonical orientation (with del/ins swapped to
-/// compensate), making one matrix serve both query directions. No costs:
-/// the strategy DP is structural only.
-struct StratKey {
-  u64 fp1 = 0, fp2 = 0;
-  usize n1 = 0, n2 = 0;
-  bool operator==(const StratKey &) const = default;
-};
-
-struct StratKeyHash {
-  usize operator()(const StratKey &k) const {
-    return static_cast<usize>(hashCombine(hashCombine(k.fp1, k.fp2),
-                                          hashCombine(static_cast<u64>(k.n1),
-                                                      static_cast<u64>(k.n2))));
-  }
-};
-
 } // namespace
 
 struct TedEngine::Impl {
@@ -97,15 +84,12 @@ struct TedEngine::Impl {
   std::unordered_map<ViewKey, std::shared_ptr<const TreeViews>, ViewKeyHash> viewCache;
 
   mutable std::mutex memoMutex;
-  std::unordered_map<PairKey, u64, PairKeyHash> memo;
-
-  mutable std::mutex strategyMutex;
-  std::unordered_map<StratKey, std::shared_ptr<const apted::Strategy>, StratKeyHash> strategies;
+  std::unordered_map<PairKey, PairOutcome, PairKeyHash> memo;
 
   std::atomic<u64> viewHits{0}, viewMisses{0};
   std::atomic<u64> memoHits{0}, memoMisses{0};
   std::atomic<u64> wholeTreeShortcuts{0};
-  std::atomic<u64> strategyHits{0}, strategyMisses{0};
+  std::atomic<u64> strategyMisses{0};
   std::atomic<u64> spfKernels[4]{0, 0, 0, 0};
   std::atomic<u64> spfSubproblems[4]{0, 0, 0, 0};
   std::atomic<u64> subtreeBlockHits{0};
@@ -170,12 +154,14 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
     std::swap(key.del, key.ins);
   }
   {
-    // The memo holds exact distances only, so a hit serves cutoff mode too.
+    // An exact distance answers every query. A lower bound c answers any
+    // cutoff <= c, because min(exact, cutoff) == cutoff there.
     std::lock_guard lock(impl_->memoMutex);
     const auto it = impl_->memo.find(key);
-    if (it != impl_->memo.end()) {
+    if (it != impl_->memo.end() &&
+        (it->second.exact || (cutoff > 0 && cutoff <= it->second.value))) {
       impl_->memoHits.fetch_add(1, std::memory_order_relaxed);
-      return clamp(it->second);
+      return clamp(it->second.value);
     }
   }
 
@@ -189,50 +175,34 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
 
   // Refine. The DP always executes in the memo's canonical orientation:
   // ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), and key.del /
-  // key.ins were swapped alongside the trees above — so strategy matrices,
-  // TD blocks and cutoff behaviour are shared by both query directions.
+  // key.ins were swapped alongside the trees above — so TD blocks and cutoff
+  // behaviour are shared by both query directions. The strategy matrix is
+  // O(n1 * n2) and lives only as long as this run, as in `tree::ted()`.
   const apted::TreeIndex &A = swapped ? ib : ia;
   const apted::TreeIndex &B = swapped ? ia : ib;
-  const TedCosts dpCosts{key.del, key.ins, key.rename};
-
-  // Strategy matrices are structural (cost-independent) and keyed by the
-  // canonical pair, so one DP serves every cost configuration and both
-  // directions of a tree pair.
-  const StratKey skey{key.fp1, key.fp2, key.n1, key.n2};
-  std::shared_ptr<const apted::Strategy> strat;
-  {
-    std::lock_guard lock(impl_->strategyMutex);
-    const auto it = impl_->strategies.find(skey);
-    if (it != impl_->strategies.end()) strat = it->second;
-  }
-  if (strat) {
-    impl_->strategyHits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    impl_->strategyMisses.fetch_add(1, std::memory_order_relaxed);
-    strat = std::make_shared<const apted::Strategy>(apted::computeStrategy(A, B));
-    std::lock_guard lock(impl_->strategyMutex);
-    strat = impl_->strategies.emplace(skey, std::move(strat)).first->second;
-  }
+  impl_->strategyMisses.fetch_add(1, std::memory_order_relaxed);
   apted::RunCounters rc;
-  const u64 result = apted::run(A, B, *strat, dpCosts, /*reuseBlocks=*/true, &rc, cutoff);
+  const u64 result = apted::run(A, B, apted::computeStrategy(A, B), {key.del, key.ins, key.rename},
+                                /*reuseBlocks=*/true, &rc, cutoff);
   for (usize k = 0; k < 4; ++k) {
     impl_->spfKernels[k].fetch_add(rc.kernels[k], std::memory_order_relaxed);
     impl_->spfSubproblems[k].fetch_add(rc.subproblems[k], std::memory_order_relaxed);
   }
   impl_->subtreeBlockHits.fetch_add(rc.blockHits, std::memory_order_relaxed);
 
-  if (cutoff > 0) {
-    // result == cutoff may be an abandoned run (a lower bound, not the
-    // distance) — never memoise it. Anything below the cutoff is exact.
-    if (result >= cutoff) {
-      impl_->prunedByCutoff.fetch_add(1, std::memory_order_relaxed);
-      return cutoff;
-    }
-    impl_->cutoffExact.fetch_add(1, std::memory_order_relaxed);
-  }
+  // result == cutoff may be an abandoned run, so it only proves the lower
+  // bound `cutoff`. Anything below the cutoff is exact.
+  const PairOutcome outcome{clamp(result), cutoff == 0 || result < cutoff};
+  if (cutoff > 0)
+    (outcome.exact ? impl_->cutoffExact : impl_->prunedByCutoff)
+        .fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(impl_->memoMutex);
-  impl_->memo.emplace(key, result);
-  return result;
+  // A concurrent DP of the same pair may have landed first: keep an exact
+  // distance over a bound, and the higher of two bounds.
+  const auto [it, inserted] = impl_->memo.try_emplace(key, outcome);
+  if (!inserted && !it->second.exact && (outcome.exact || outcome.value > it->second.value))
+    it->second = outcome;
+  return outcome.value;
 }
 
 EngineStats TedEngine::stats() const {
@@ -242,7 +212,6 @@ EngineStats TedEngine::stats() const {
   s.memoHits = impl_->memoHits.load();
   s.memoMisses = impl_->memoMisses.load();
   s.wholeTreeShortcuts = impl_->wholeTreeShortcuts.load();
-  s.strategyHits = impl_->strategyHits.load();
   s.strategyMisses = impl_->strategyMisses.load();
   for (usize k = 0; k < 4; ++k) {
     s.spfKernels[k] = impl_->spfKernels[k].load();
@@ -264,16 +233,11 @@ void TedEngine::clear() {
     std::lock_guard lock(impl_->memoMutex);
     impl_->memo.clear();
   }
-  {
-    std::lock_guard lock(impl_->strategyMutex);
-    impl_->strategies.clear();
-  }
   impl_->viewHits = 0;
   impl_->viewMisses = 0;
   impl_->memoHits = 0;
   impl_->memoMisses = 0;
   impl_->wholeTreeShortcuts = 0;
-  impl_->strategyHits = 0;
   impl_->strategyMisses = 0;
   for (usize k = 0; k < 4; ++k) {
     impl_->spfKernels[k] = 0;

@@ -16,21 +16,20 @@
 //  * a symmetric pair memo keyed on (fingerprint, fingerprint, costs):
 //    ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), so
 //    diverge(a, b) and diverge(b, a) share the TED work and only the
-//    asymmetric dmax/unmatched accounting is recomputed;
-//  * Apted strategy matrices cached per *canonical* (fp1, n1, fp2, n2)
-//    pair — the DP always executes in the memo's canonical orientation
-//    (swapping trees and del/ins together preserves the distance), so one
-//    strategy matrix serves both query directions and, being
-//    cost-independent, every TedCosts — and subtree-pair TD reuse (any
-//    repeated (fingerprint, fingerprint) subtree pair replays its TD
-//    rectangle). Note the pair memo still answers same-cost repeats first:
-//    within a single cost configuration strategy hits stay at zero by
-//    design, and only distinct TedCosts (or cutoff-abandoned pairs that
-//    are re-queried) reach the strategy cache.
+//    asymmetric dmax/unmatched accounting is recomputed. It is the engine's
+//    one cross-call DP cache and records the outcome of every DP: a
+//    completed DP stores its exact distance; a DP abandoned at cutoff c
+//    stores c as a proven lower bound (raised by a later, higher
+//    abandonment) that answers any later cutoff <= c. Any other query runs
+//    the DP, and its exact result replaces the bound. The DP always runs in
+//    the memo's canonical orientation (swapping trees and del/ins together
+//    preserves the distance), and its O(n1 * n2) Apted strategy matrix is
+//    computed per run and dropped with it;
+//  * subtree-pair TD reuse inside one run: any repeated (fingerprint,
+//    fingerprint) subtree pair replays its TD rectangle;
 //  * cutoff mode (TedOptions::cutoff > 0): the cached signature lower
 //    bound (tree/tedbounds.hpp) answers `cutoff` outright when it reaches
 //    the threshold; otherwise the DP runs with in-kernel early abandon.
-//    Only exact results (below the cutoff) enter the pair memo.
 //
 // The engine runs Apted only. A TedAlgo::ZhangShasha request is forwarded
 // to the uncached `tree::ted()`, so the oracle never shares the engine's
@@ -62,11 +61,12 @@ struct TreeViews {
 struct EngineStats {
   u64 viewHits = 0;            ///< views() served from the cache
   u64 viewMisses = 0;          ///< views() that had to build
-  u64 memoHits = 0;            ///< ted() answered from the pair memo
+  /// ted() answered from the pair memo: by an exact distance, or by a
+  /// recorded lower bound that reaches the query's cutoff
+  u64 memoHits = 0;
   u64 memoMisses = 0;          ///< ted() that ran a DP
   u64 wholeTreeShortcuts = 0;  ///< ted() == 0 via equal root fingerprints
-  u64 strategyHits = 0;        ///< Apted strategy matrices served from the cache
-  u64 strategyMisses = 0;      ///< Apted strategy matrices computed
+  u64 strategyMisses = 0;      ///< Apted strategy DPs run: one per DP, never reused
   u64 spfKernels[4] = {0, 0, 0, 0};     ///< single-path kernels run, by apted::PathKind
   u64 spfSubproblems[4] = {0, 0, 0, 0}; ///< forest-DP cells, by apted::PathKind
   u64 subtreeBlockHits = 0;    ///< Apted subtree-pair TD rectangles replayed

@@ -85,39 +85,6 @@ NodeId Tree::graft(NodeId parent, const Tree &other, NodeId otherRoot) {
   return newRoot;
 }
 
-Tree Tree::spliceWhere(const std::function<bool(const Node &)> &keep) const {
-  Tree out;
-  if (nodes_.empty()) return out;
-  // Recursive splice via explicit traversal. For each original node we track
-  // the id of its nearest kept ancestor in `out`.
-  const bool keepRoot = keep(nodes_[0]);
-  if (keepRoot) {
-    out.nodes_.push_back(Node{nodes_[0].label, kNoParent, {}, nodes_[0].file, nodes_[0].line});
-  } else {
-    out.nodes_.push_back(Node{"<masked>", kNoParent, {}, -1, -1});
-  }
-  // stack of (original node id, dest parent id). Children are pushed in
-  // reverse so they are processed — and appended — in source order.
-  std::vector<std::pair<NodeId, NodeId>> stack;
-  const auto pushChildren = [&](NodeId origId, NodeId destParent) {
-    const auto &ch = nodes_[origId].children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.emplace_back(*it, destParent);
-  };
-  pushChildren(0, 0);
-  while (!stack.empty()) {
-    const auto [origId, destParent] = stack.back();
-    stack.pop_back();
-    const auto &n = nodes_[origId];
-    if (keep(n)) {
-      const NodeId id = out.addChild(destParent, n.label, n.file, n.line);
-      pushChildren(origId, id);
-    } else {
-      pushChildren(origId, destParent); // splice: children climb to the ancestor
-    }
-  }
-  return out;
-}
-
 Tree Tree::pruneWhere(const std::function<bool(const Node &)> &keep) const {
   Tree out;
   if (nodes_.empty()) return out;
@@ -174,11 +141,6 @@ std::string Tree::pretty(usize maxDepth) const {
     out.push_back('\n');
   });
   return out;
-}
-
-bool Tree::sameShape(const Tree &other) const {
-  if (nodes_.size() != other.nodes_.size()) return false;
-  return fingerprint() == other.fingerprint();
 }
 
 void Tree::validate() const {

@@ -54,21 +54,12 @@ public:
   /// Number of leaves.
   [[nodiscard]] usize leafCount() const;
 
-  /// Pre-order visit: f(id, depth).
-  void visitPreorder(const std::function<void(NodeId, usize)> &f) const;
-
   /// Post-order node ids (left-to-right). The basis for the TED algorithms.
   [[nodiscard]] std::vector<NodeId> postorder() const;
 
   /// Graft a deep copy of `other` (rooted at `otherRoot`) under `parent`;
   /// returns the id of the copied root.
   NodeId graft(NodeId parent, const Tree &other, NodeId otherRoot = 0);
-
-  /// Return a new tree where nodes failing `keep` are spliced out: their
-  /// children are reattached to the nearest kept ancestor. If the root is
-  /// removed, a fresh root labelled "<masked>" holds the survivors. Used for
-  /// normalisation passes that drop non-semantic nodes.
-  [[nodiscard]] Tree spliceWhere(const std::function<bool(const Node &)> &keep) const;
 
   /// Return a new tree where any node failing `keep` is removed *together
   /// with its whole subtree*. Used for coverage masking: unexecuted regions
@@ -84,9 +75,6 @@ public:
   /// Multi-line ASCII rendering for debugging and the Fig 1 bench.
   [[nodiscard]] std::string pretty(usize maxDepth = ~usize{0}) const;
 
-  /// Structural equality ignoring source locations.
-  [[nodiscard]] bool sameShape(const Tree &other) const;
-
   /// Throw InternalError if invariants are violated.
   void validate() const;
 
@@ -95,6 +83,9 @@ public:
   static Tree fromMsgpack(const msgpack::Value &v);
 
 private:
+  /// Pre-order visit: f(id, depth).
+  void visitPreorder(const std::function<void(NodeId, usize)> &f) const;
+
   std::vector<Node> nodes_;
 };
 

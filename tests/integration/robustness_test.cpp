@@ -332,7 +332,7 @@ TEST(Determinism, TedIndependentOfComparisonOrder) {
 
 // --------------------------------------------------- structural property ---
 
-TEST(TreeProperties, SpliceAndPruneKeepInvariantsOnRandomTrees) {
+TEST(TreeProperties, PruneKeepsInvariantsOnRandomTrees) {
   std::mt19937 rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     auto t = tree::Tree::leaf("r");
@@ -341,11 +341,9 @@ TEST(TreeProperties, SpliceAndPruneKeepInvariantsOnRandomTrees) {
       t.addChild(static_cast<tree::NodeId>(rng() % t.size()),
                  std::string(1, static_cast<char>('a' + rng() % 4)));
     const char drop = static_cast<char>('a' + rng() % 4);
-    const auto spliced = t.spliceWhere([&](const tree::Node &x) { return x.label[0] != drop; });
     const auto pruned = t.pruneWhere([&](const tree::Node &x) { return x.label[0] != drop; });
-    spliced.validate();
     pruned.validate();
-    EXPECT_LE(pruned.size(), spliced.size() + 1); // prune removes at least as much (modulo stub)
+    EXPECT_LE(pruned.size(), t.size());
     for (const auto &node : pruned.nodes())
       if (node.label != "<masked>") EXPECT_NE(node.label[0], drop);
   }

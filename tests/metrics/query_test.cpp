@@ -113,6 +113,23 @@ TEST(Query, RangeResultsAreWithinRadiusAndSorted) {
   }
 }
 
+TEST(Query, RangeAtLargestRadiusListsEveryCandidate) {
+  // radius + 1 would wrap to 0 here; the query must still evaluate every
+  // candidate exactly and return the brute-force list.
+  const auto ports = allPorts("babelstream");
+  const auto corpus = pointers(ports, usize{0});
+  QueryStats stats;
+  const auto hits = rangeDivergence(ports[0], corpus, ~u64{0}, Metric::Tsem, {}, {}, {}, &stats);
+  const auto all = bruteTopK(ports[0], corpus, corpus.size());
+  ASSERT_EQ(hits.size(), all.size());
+  for (usize i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].index, all[i].index);
+    EXPECT_EQ(hits[i].distance, all[i].distance);
+  }
+  EXPECT_EQ(stats.prunedByBound, 0u);
+  EXPECT_EQ(stats.exact, corpus.size());
+}
+
 TEST(Query, TriangleInequalitySpotChecks) {
   const auto ports = allPorts("minibude");
   ASSERT_GE(ports.size(), 3u);

@@ -86,3 +86,18 @@ TEST(CliArgs, GetFallback) {
   EXPECT_EQ(a.get("metric", "Tsem"), "Tsem");
   EXPECT_TRUE(a.positional.empty());
 }
+
+TEST(CliArgs, ParseU64RejectsSignsAndOverflow) {
+  EXPECT_EQ(cli::parseU64("0", "k"), 0u);
+  EXPECT_EQ(cli::parseU64("18446744073709551615", "range"), ~u64{0});
+  for (const char *bad : {"-1", "18446744073709551616", "99999999999999999999999", "+1", " 1",
+                          "1x", "", "nan"})
+    EXPECT_THROW((void)cli::parseU64(bad, "k"), cli::UsageError) << "'" << bad << "'";
+}
+
+TEST(CliArgs, ParseDoubleRejectsNegativeAndNonFinite) {
+  EXPECT_EQ(cli::parseDouble("0.05", "cutoff"), 0.05);
+  EXPECT_EQ(cli::parseDouble("1", "cutoff"), 1.0);
+  for (const char *bad : {"-0.5", "-0", "nan", "inf", "-inf", "1e999", "0.5x", ""})
+    EXPECT_THROW((void)cli::parseDouble(bad, "cutoff"), cli::UsageError) << "'" << bad << "'";
+}

@@ -1,5 +1,5 @@
 // Lower-bound admissibility, the cutoff contract, signature persistence
-// and the canonical-orientation strategy cache — the tree-layer half of
+// and the pair memo's record of cutoff outcomes — the tree-layer half of
 // the metric-space query layer's correctness story.
 #include <gtest/gtest.h>
 
@@ -162,33 +162,71 @@ TEST(TedBounds, EngineCutoffParityAndStatBuckets) {
   EXPECT_EQ(engine.stats().memoHits, memoHitsBefore + 1);
 }
 
-TEST(TedBounds, StrategyCacheHitsAcrossCostConfigs) {
-  // Within one cost configuration the symmetric pair memo answers repeats,
-  // so strategy hits stay at zero; a second TedCosts misses the pair memo
-  // (costs are part of its key) but replays the cost-independent strategy
-  // matrix — the genuine reuse the strategy cache exists for.
+TEST(TedBounds, PairMemoRecordsEveryDpOutcome) {
+  // The pair memo keeps what every DP proved: an abandoned run at cutoff c
+  // stores the lower bound c, which answers any later cutoff <= c without a
+  // DP; a higher cutoff or an exact request runs the DP again. Every DP
+  // computes its own strategy, so strategyMisses counts DP runs.
   TedEngine engine;
   const auto a = randomTree(31, 45);
   const auto b = randomTree(32, 40);
+  const auto zs = [](const Tree &x, const Tree &y, const TedCosts &costs, u64 cutoff) {
+    TedOptions opts{TedAlgo::ZhangShasha, costs};
+    opts.cutoff = cutoff;
+    return ted(x, y, opts);
+  };
+  const auto kernels = [&engine] {
+    const auto s = engine.stats();
+    return s.spfKernels[0] + s.spfKernels[1] + s.spfKernels[2] + s.spfKernels[3];
+  };
+  u64 dpRuns = 0;
+  const auto query = [&](const Tree &x, const Tree &y, const TedCosts &costs, u64 cutoff) {
+    TedOptions opts;
+    opts.costs = costs;
+    opts.cutoff = cutoff;
+    const auto before = engine.stats();
+    const u64 got = engine.ted(x, y, opts);
+    EXPECT_EQ(got, zs(x, y, costs, cutoff)) << "cutoff " << cutoff;
+    const auto after = engine.stats();
+    dpRuns += after.strategyMisses - before.strategyMisses;
+    return after.memoHits - before.memoHits;
+  };
 
-  TedOptions unit; // Apted default
-  (void)engine.ted(a, b, unit);
-  EXPECT_EQ(engine.stats().strategyHits, 0u);
-  EXPECT_EQ(engine.stats().strategyMisses, 1u);
-  (void)engine.ted(b, a, unit); // replayed from the symmetric pair memo
-  EXPECT_EQ(engine.stats().strategyHits, 0u);
-  EXPECT_EQ(engine.stats().memoHits, 1u);
+  const u64 exact = zs(a, b, {}, 0);
+  const u64 lb = tedLowerBound(boundSignature(a), boundSignature(b), {});
+  ASSERT_LT(lb + 2, exact);
+  const u64 c = exact - 1; // above the signature bound, so the DP runs
 
-  TedOptions weighted;
-  weighted.costs = TedCosts{2, 3, 1};
-  const u64 wantWeighted = exactTed(a, b, weighted.costs);
-  EXPECT_EQ(engine.ted(a, b, weighted), wantWeighted);
-  EXPECT_EQ(engine.stats().strategyHits, 1u);
-  EXPECT_EQ(engine.stats().strategyMisses, 1u);
+  EXPECT_EQ(query(a, b, {}, c), 0u);
+  EXPECT_EQ(engine.stats().prunedByCutoff, 1u);
+  EXPECT_EQ(dpRuns, 1u);
 
-  // Reversed direction under asymmetric costs: ted(b, a, {ins, del, ren}).
-  TedOptions flipped;
-  flipped.costs = TedCosts{3, 2, 1};
-  EXPECT_EQ(engine.ted(b, a, flipped), wantWeighted);
-  EXPECT_EQ(engine.stats().memoHits, 2u);
+  // Cutoffs <= c, in either direction, are answered by the recorded bound.
+  const u64 kernelsBefore = kernels();
+  EXPECT_EQ(query(a, b, {}, c), 1u);
+  EXPECT_EQ(query(b, a, {}, c - 1), 1u);
+  EXPECT_EQ(query(a, b, {}, lb + 1), 1u);
+  EXPECT_EQ(kernels(), kernelsBefore);
+  EXPECT_EQ(dpRuns, 1u);
+
+  // A higher cutoff runs the DP; so does an exact request, whose result
+  // replaces the bound and then answers every later query.
+  EXPECT_EQ(query(a, b, {}, c + 1), 0u);
+  EXPECT_EQ(dpRuns, 2u);
+  EXPECT_EQ(query(b, a, {}, 0), 0u);
+  EXPECT_EQ(dpRuns, 3u);
+  EXPECT_EQ(query(a, b, {}, 0), 1u);
+  EXPECT_EQ(query(a, b, {}, exact + 5), 1u);
+
+  // Weighted costs are a separate memo entry. The reversed direction with
+  // del/ins swapped is the same entry; with the same weights it is not.
+  const TedCosts weighted{2, 3, 1};
+  EXPECT_EQ(query(a, b, weighted, 0), 0u);
+  EXPECT_EQ(query(b, a, TedCosts{3, 2, 1}, 0), 1u);
+  EXPECT_EQ(query(b, a, weighted, 0), 0u);
+  EXPECT_EQ(dpRuns, 5u);
+
+  const auto s = engine.stats();
+  EXPECT_EQ(s.strategyMisses, dpRuns);
+  EXPECT_EQ(s.memoMisses, dpRuns);
 }

@@ -107,15 +107,14 @@ TEST(TedEngine, ZhangShashaRequestBypassesTheEngine) {
     cells += s.spfSubproblems[k];
   }
   EXPECT_EQ(s.viewHits + s.viewMisses + s.memoHits + s.memoMisses + s.wholeTreeShortcuts +
-                s.strategyHits + s.strategyMisses + s.subtreeBlockHits + s.prunedByBound +
+                s.strategyMisses + s.subtreeBlockHits + s.prunedByBound +
                 s.prunedByCutoff + s.cutoffExact + kernels + cells,
             0u);
 }
 
-TEST(TedEngine, StrategyMatrixIsSharedAcrossCostConfigurations) {
-  // The Apted strategy DP is structural: the same ordered tree pair under
-  // different costs must reuse the cached matrix (distinct memo entries,
-  // one strategy computation).
+TEST(TedEngine, EachCostConfigurationRunsOneDp) {
+  // Costs are part of the memo key, so a second TedCosts runs its own DP,
+  // strategy included; repeating either configuration runs none.
   TedEngine engine;
   const auto a = randomTree(21, 45);
   const auto b = randomTree(22, 55);
@@ -124,13 +123,13 @@ TEST(TedEngine, StrategyMatrixIsSharedAcrossCostConfigurations) {
   heavy.costs.del = 2;
   heavy.costs.ins = 5;
   EXPECT_EQ(engine.ted(a, b, unit), ted(a, b, unit));
-  const auto s1 = engine.stats();
-  EXPECT_EQ(s1.strategyMisses, 1u);
-  EXPECT_EQ(s1.strategyHits, 0u);
+  EXPECT_EQ(engine.stats().strategyMisses, 1u);
+  EXPECT_EQ(engine.ted(a, b, heavy), ted(a, b, heavy));
+  EXPECT_EQ(engine.ted(a, b, unit), ted(a, b, unit));
   EXPECT_EQ(engine.ted(a, b, heavy), ted(a, b, heavy));
   const auto s2 = engine.stats();
-  EXPECT_EQ(s2.strategyMisses, 1u);
-  EXPECT_EQ(s2.strategyHits, 1u);
+  EXPECT_EQ(s2.strategyMisses, 2u);
+  EXPECT_EQ(s2.memoHits, 2u);
   // The kernel histogram is populated: every executed single-path kernel is
   // attributed to exactly one PathKind.
   u64 kernels = 0, cells = 0;

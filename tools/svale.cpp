@@ -21,7 +21,6 @@
 //   svale index-dir <dir> [-o out.svdb]     index a real on-disk codebase
 //                                           (needs <dir>/compile_commands.json)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -220,17 +219,6 @@ int cmdDiverge(const Args &args) {
   return 0;
 }
 
-u64 parseU64(const std::string &value, const char *flag);
-
-double parseDouble(const std::string &value, const char *flag) {
-  char *end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || v < 0)
-    throw cli::UsageError(std::string(flag) + " expects a non-negative number, got '" + value +
-                          "'");
-  return v;
-}
-
 void printMedoids(const analysis::DistanceMatrix &m, const analysis::KMedoidsResult &km) {
   std::printf("k-medoids: k=%zu cost=%.4f\n", km.medoids.size(), km.cost);
   for (usize c = 0; c < km.medoids.size(); ++c) {
@@ -276,10 +264,10 @@ void printJson(const json::Value &v) { std::printf("%s\n", json::write(v, 2).c_s
 /// `cluster fuzz`: k-medoids over generated T_sem trees through the
 /// tree-level filter-and-refine matrix (raw TED distances, --cutoff cap).
 int cmdClusterFuzz(const Args &args) {
-  const u64 seed = parseU64(args.get("seed", "1"), "--seed");
-  const usize count = parseU64(args.get("count", "100"), "--count");
-  const u64 cutoff = parseU64(args.get("cutoff", "0"), "--cutoff");
-  const usize k = parseU64(args.get("k", "8"), "--k");
+  const u64 seed = cli::parseU64(args.get("seed", "1"), "seed");
+  const usize count = cli::parseU64(args.get("count", "100"), "count");
+  const u64 cutoff = cli::parseU64(args.get("cutoff", "0"), "cutoff");
+  const usize k = cli::parseU64(args.get("k", "8"), "k");
 
   std::vector<tree::Tree> corpus(count);
   std::vector<std::string> labels(count);
@@ -316,8 +304,11 @@ int cmdClusterFuzz(const Args &args) {
 /// radius-capped filter-and-refine path (--cutoff = normalised radius).
 int cmdClusterAll(const Args &args) {
   const auto metric = parseMetric(args.get("metric", "Tsem"));
-  const double radius = parseDouble(args.get("cutoff", "0"), "--cutoff");
-  const usize k = parseU64(args.get("k", "5"), "--k");
+  const double radius = cli::parseDouble(args.get("cutoff", "0"), "cutoff");
+  if (radius > 1)
+    throw cli::UsageError("--cutoff expects a normalised radius in [0, 1], got '" +
+                          args.get("cutoff", "0") + "'");
+  const usize k = cli::parseU64(args.get("k", "5"), "k");
   if (metrics::isAbsolute(metric))
     throw cli::UsageError("cluster all needs a divergence metric, not SLOC/LLOC");
 
@@ -347,7 +338,7 @@ int cmdCluster(const Args &args) {
                      ? silvervale::absoluteDifferenceMatrix(app, metric)
                      : silvervale::divergenceMatrix(app, metric, {}, tedOptionsFrom(args));
   if (args.has("k")) {
-    const auto km = analysis::kMedoids(m, parseU64(args.get("k", "3"), "--k"));
+    const auto km = analysis::kMedoids(m, cli::parseU64(args.get("k", "3"), "k"));
     if (args.has("json")) printJson(medoidsJson(m, km));
     else printMedoids(m, km);
     return 0;
@@ -396,14 +387,14 @@ int cmdQuery(const Args &args) {
   const bool asJson = args.has("json");
   std::string mode;
   if (args.has("range")) {
-    const u64 radius = parseU64(args.get("range", "0"), "--range");
+    const u64 radius = cli::parseU64(args.get("range", "0"), "range");
     hits = metrics::rangeDivergence(*query, corpus, radius, metric, {}, ted, {}, &stats);
     mode = "range";
     if (!asJson)
       std::printf("within d<=%llu of %s:\n", static_cast<unsigned long long>(radius),
                   label.c_str());
   } else {
-    const usize k = parseU64(args.get("top-k", "5"), "--top-k");
+    const usize k = cli::parseU64(args.get("top-k", "5"), "top-k");
     hits = metrics::topKDivergence(*query, corpus, k, metric, {}, ted, {}, &stats);
     mode = "top-k";
     if (!asJson) std::printf("top-%zu nearest to %s:\n", k, label.c_str());
@@ -577,18 +568,10 @@ int cmdCoupling(const Args &args) {
   return 0;
 }
 
-u64 parseU64(const std::string &value, const char *flag) {
-  char *end = nullptr;
-  const u64 v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    throw cli::UsageError(std::string(flag) + " expects an unsigned integer, got '" + value + "'");
-  return v;
-}
-
 int cmdFuzz(const Args &args) {
   fuzz::FuzzOptions opts;
-  opts.seed = parseU64(args.get("seed", "1"), "--seed");
-  opts.count = parseU64(args.get("count", "100"), "--count");
+  opts.seed = cli::parseU64(args.get("seed", "1"), "seed");
+  opts.count = cli::parseU64(args.get("count", "100"), "count");
   const std::string lang = args.get("lang", "both");
   if (lang == "c") opts.genF = false;
   else if (lang == "f") opts.genC = false;
@@ -649,21 +632,16 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "svale: %s\n", e.what());
     return usage();
   }
-  // One worker cap for every command (indexApp, divergenceMatrix, lint-dir,
-  // fuzz all run on StreamRuntime nodes): --threads N behaves exactly like
-  // SV_THREADS=N, with the flag taking precedence.
-  if (const auto it = args.flags.find("threads"); it != args.flags.end()) {
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0' || n == 0) {
-      std::fprintf(stderr, "svale: --threads wants a positive integer, got '%s'\n",
-                   it->second.c_str());
-      return usage();
-    }
-    configureThreads(static_cast<usize>(n));
-  }
   int rc;
   try {
+    // One worker cap for every command (indexApp, divergenceMatrix,
+    // lint-dir, fuzz all run on StreamRuntime nodes): --threads N behaves
+    // exactly like SV_THREADS=N, with the flag taking precedence.
+    if (const auto it = args.flags.find("threads"); it != args.flags.end()) {
+      const u64 n = cli::parseU64(it->second, "threads");
+      if (n == 0) throw cli::UsageError("--threads wants a positive integer, got '0'");
+      configureThreads(static_cast<usize>(n));
+    }
     rc = dispatch(cmd, args);
   } catch (const cli::UsageError &e) {
     std::fprintf(stderr, "svale: %s\n", e.what());
