@@ -105,9 +105,4 @@ std::map<std::string, std::string> definesFromCommand(const CompileCommand &comm
   return out;
 }
 
-bool isFortranFile(const std::string &file) {
-  return str::endsWith(file, ".f90") || str::endsWith(file, ".f95") ||
-         str::endsWith(file, ".f03") || str::endsWith(file, ".f");
-}
-
 } // namespace sv::db

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ir/lower.hpp"
+#include "lang/source.hpp"
 #include "support/common.hpp"
 
 namespace sv::db {
@@ -33,7 +34,6 @@ struct CompileCommand {
 /// Collect -DNAME[=VALUE] macro definitions.
 [[nodiscard]] std::map<std::string, std::string> definesFromCommand(const CompileCommand &command);
 
-/// True for Fortran TUs (by extension: .f90/.f95/.f03/.f).
-[[nodiscard]] bool isFortranFile(const std::string &file);
+using lang::isFortranFile;
 
 } // namespace sv::db

@@ -14,7 +14,7 @@ struct DiskLoadOptions {
   std::string compileDbName = "compile_commands.json";
   /// Extensions of files registered into the virtual file system.
   std::vector<std::string> extensions = {".h", ".hpp", ".hh", ".cpp", ".cc",
-                                         ".cxx", ".f90", ".f95", ".f"};
+                                         ".cxx", ".f90", ".f95", ".f03", ".f"};
   /// Display metadata for the resulting codebase.
   std::string app = "external";
   std::string model = "unknown";

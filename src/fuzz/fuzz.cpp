@@ -167,10 +167,7 @@ FuzzReport runFuzz(const FuzzOptions &options) {
 
 ReplayResult replayCrashFile(const std::string &fileName, const std::string &content) {
   GeneratedProgram program;
-  program.lang = str::endsWith(fileName, ".f90") || str::endsWith(fileName, ".f95") ||
-                         str::endsWith(fileName, ".f")
-                     ? Lang::MiniF
-                     : Lang::MiniC;
+  program.lang = lang::isFortranFile(fileName) ? Lang::MiniF : Lang::MiniC;
   program.model = "serial";
   program.seed = 1;
   program.source = content;

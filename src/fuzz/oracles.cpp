@@ -479,7 +479,8 @@ struct Parsed {
   // interval, the worst bug this analysis can have.
   auto parsed = parseSource(p.source, p.lang, p.fileName, /*sema=*/p.lang == Lang::MiniC);
   const auto mod = ir::lower(parsed.tu, {modelOf(p)});
-  const auto ranges = ir::analyzeModuleRanges(mod);
+  const ir::ModuleFacts facts(mod);
+  const auto ranges = ir::analyzeModuleRanges(facts);
   std::map<std::pair<i32, i32>, ir::Interval> staticAt;
   for (const auto &fn : mod.functions) {
     const auto *fr = ranges.rangesOf(fn.name);
@@ -658,11 +659,8 @@ std::vector<OracleFailure> runCorpusMutationOracle(const std::string &app,
     auto mutated = corpus::make(app, model);
     Rng rng(seed ^ 0x436f72707573ULL);
     for (const auto &f : base.sources.files()) {
-      const Lang lang = str::endsWith(f.name, ".f90") || str::endsWith(f.name, ".f95") ||
-                                str::endsWith(f.name, ".f")
-                            ? Lang::MiniF
-                            : Lang::MiniC;
-      mutated.addFile(f.name, mutateCommentsWhitespace(f.text, lang, rng));
+      const Lang fileLang = lang::isFortranFile(f.name) ? Lang::MiniF : Lang::MiniC;
+      mutated.addFile(f.name, mutateCommentsWhitespace(f.text, fileLang, rng));
     }
     const auto units1 = db::parseUnits(base);
     const auto units2 = db::parseUnits(mutated);

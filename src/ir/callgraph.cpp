@@ -307,6 +307,7 @@ CallGraph buildCallGraph(const Module &m) {
         ModRef s;
         s.widen();
         cg.summaries[name] = s;
+        cg.recursive.insert(name);
       }
       continue;
     }

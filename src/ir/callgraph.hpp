@@ -64,6 +64,9 @@ struct CallGraph {
   /// both direct calls and outlined bodies passed to `@__kmpc_fork_call`).
   std::map<std::string, std::vector<std::string>> callees;
   std::map<std::string, ModRef> summaries;
+  /// Members of recursive SCCs (more than one member, or a self edge):
+  /// exactly the functions reachable from themselves through `callees`.
+  std::set<std::string> recursive;
 
   [[nodiscard]] const ModRef *summaryOf(const std::string &name) const {
     const auto it = summaries.find(name);

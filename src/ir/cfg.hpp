@@ -5,6 +5,10 @@
 // entry (block 0) and the exits (every block ending in `ret`, plus a final
 // fall-off-the-end block) so forward and backward dataflow have well-defined
 // boundaries, and records which blocks are unreachable from the entry.
+//
+// Analyses do not call buildCfg themselves: they read a function's CFG from
+// ir::FunctionFacts (ir/facts.hpp), which builds it once and lends it to
+// every tier of a request.
 #pragma once
 
 #include <optional>

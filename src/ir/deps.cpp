@@ -209,15 +209,13 @@ void recogniseInduction(LoopInfo &L, const Function &fn, const ValueChaser &chas
 
 } // namespace
 
-std::vector<LoopInfo> findLoops(const Function &fn, const Cfg &cfg) {
-  // Shared dominator machinery from the SSA pass (ir/ssa.hpp).
-  const Dominators doms = computeDominators(cfg);
+std::vector<LoopInfo> findLoops(const FunctionFacts &facts) {
+  const Function &fn = facts.function();
+  const Cfg &cfg = facts.cfg();
   std::map<u32, std::set<u32>> latches; // header -> back-edge sources
-  for (usize u = 0; u < cfg.size(); ++u) {
-    if (!cfg.reachable[u]) continue;
+  for (u32 u = 0; u < cfg.size(); ++u)
     for (const u32 h : cfg.succs[u])
-      if (doms.dominates(h, static_cast<u32>(u))) latches[h].insert(static_cast<u32>(u));
-  }
+      if (facts.isBackEdge(u, h)) latches[h].insert(u);
   std::vector<LoopInfo> loops;
   loops.reserve(latches.size());
   const ValueChaser chase(fn);
@@ -317,9 +315,10 @@ struct AffineBuilder {
       // expand the stored expression — the inductions it reads hold their
       // current-iteration values there too.
       if (ranges && loop) {
-        const auto it = ranges->ssa.loadDef.find(v);
-        if (it != ranges->ssa.loadDef.end()) {
-          const SsaDef &sd = ranges->ssa.defs[it->second];
+        const SsaFunction &ssa = ranges->facts->ssa();
+        const auto it = ssa.loadDef.find(v);
+        if (it != ssa.loadDef.end()) {
+          const SsaDef &sd = ssa.defs[it->second];
           if (sd.kind == SsaDef::Kind::Store && loop->contains(sd.block) &&
               !sd.stored.empty()) {
             Affine e = build(sd.stored, depth + 1);
@@ -961,16 +960,17 @@ struct LoopAnalyzer {
   }
 };
 
-} // namespace
-
-FunctionDeps analyzeFunction(const Function &fn, const CallGraph &cg,
+/// Per-loop dependence analysis of one function, consulting `cg` at call
+/// sites; `ranges` is the function's slice of the ir::ModuleRanges given to
+/// analyzeModule, if any.
+FunctionDeps analyzeFunction(const FunctionFacts &facts, const CallGraph &cg,
                              const FunctionRanges *ranges) {
+  const Function &fn = facts.function();
+  const Cfg &cfg = facts.cfg();
   FunctionDeps out;
   out.function = fn.name;
   out.role = fn.role;
-  if (fn.role == FunctionRole::Runtime) return out;
-  const Cfg cfg = buildCfg(fn);
-  out.loops = findLoops(fn, cfg);
+  out.loops = findLoops(facts);
   if (out.loops.empty()) return out;
 
   // Induction-value bounds for the subscript tests: exact from constant
@@ -1011,13 +1011,15 @@ FunctionDeps analyzeFunction(const Function &fn, const CallGraph &cg,
   return out;
 }
 
-ModuleDeps analyzeModule(const Module &m, const ModuleRanges *ranges) {
+} // namespace
+
+ModuleDeps analyzeModule(const ModuleFacts &facts, const ModuleRanges *ranges) {
   ModuleDeps out;
-  out.callgraph = buildCallGraph(m);
-  out.functions.reserve(m.functions.size());
-  for (const auto &fn : m.functions) {
+  out.functions.reserve(facts.functions().size());
+  for (const auto &ff : facts.functions()) {
+    const Function &fn = ff.function();
     if (fn.role == FunctionRole::Runtime) continue;
-    auto fd = analyzeFunction(fn, out.callgraph,
+    auto fd = analyzeFunction(ff, facts.callGraph(),
                               ranges ? ranges->rangesOf(fn.name) : nullptr);
     if (!fd.loops.empty()) out.functions.push_back(std::move(fd));
   }

@@ -24,6 +24,10 @@
 // ir/callgraph.hpp, so loops that call summarised helpers stay analyzable
 // instead of degrading to "unknown" at every call.
 //
+// The CFGs, dominator trees and call graph come from ir::ModuleFacts
+// (ir/facts.hpp): run next to the IR and range tiers on one facts object,
+// this tier rebuilds none of them.
+//
 // Every conclusion is three-valued: *proven* dependences (the race
 // ammunition), proven independence, and "assumed" dependences where a test
 // was inconclusive — assumed edges block a provably-parallel verdict but
@@ -35,8 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "ir/callgraph.hpp"
-#include "ir/cfg.hpp"
 #include "ir/range.hpp"
 
 namespace sv::ir {
@@ -116,32 +118,28 @@ struct FunctionDeps {
   std::vector<LoopInfo> loops; ///< outer-first (by header block index)
 };
 
+/// Per-loop facts of every non-Runtime function that has loops. Plain
+/// values: nothing points into the ir::ModuleFacts they came from.
 struct ModuleDeps {
-  CallGraph callgraph;
   std::vector<FunctionDeps> functions;
 };
 
-/// Loop recovery alone: dominator-based back-edge detection over the CFG.
-/// Irreducible cycles (no dominating header) produce no loops; multi-exit
-/// (`break`-heavy) bodies are recovered intact. Structural fields plus
-/// induction recognition are filled; dependence fields are left empty.
-[[nodiscard]] std::vector<LoopInfo> findLoops(const Function &fn, const Cfg &cfg);
+/// Loop recovery alone: the facts' back edges (FunctionFacts::isBackEdge)
+/// name the headers. Irreducible cycles (no dominating header) produce no
+/// loops; multi-exit (`break`-heavy) bodies are recovered intact.
+/// Structural fields plus induction recognition are filled; dependence
+/// fields are left empty.
+[[nodiscard]] std::vector<LoopInfo> findLoops(const FunctionFacts &facts);
 
-/// Full per-loop dependence analysis for one function, consulting `cg` at
-/// call sites. When `ranges` is given (the function's slice of an
-/// interprocedural ir::ModuleRanges), loop-invariant scalars whose range
-/// is a compile-time singleton fold to constants in the affine subscript
-/// view (making linearised `i*ny + j` subscripts testable), and loops
-/// without constant bounds get range-derived induction bounds for the
-/// independence tests.
-[[nodiscard]] FunctionDeps analyzeFunction(const Function &fn, const CallGraph &cg,
-                                           const FunctionRanges *ranges = nullptr);
-
-/// Build the call graph, then analyze every non-Runtime function. With
-/// `ranges` each function is analyzed under its interprocedural slice;
-/// without (the default — same cost as before the range tier existed) the
-/// tests see only compile-time constant bounds.
-[[nodiscard]] ModuleDeps analyzeModule(const Module &m,
+/// Analyze every non-Runtime function against the facts' call graph. With
+/// `ranges` (computed over the same facts) each function is analyzed under
+/// its interprocedural slice: loop-invariant scalars whose range is a
+/// compile-time singleton fold to constants in the affine subscript view
+/// (making linearised `i*ny + j` subscripts testable), and loops without
+/// constant bounds get range-derived induction bounds for the independence
+/// tests. Without (the default) the tests see only compile-time constant
+/// bounds.
+[[nodiscard]] ModuleDeps analyzeModule(const ModuleFacts &facts,
                                        const ModuleRanges *ranges = nullptr);
 
 } // namespace sv::ir

@@ -253,6 +253,9 @@ struct RangeAnalyzer {
   static constexpr u32 npos = static_cast<u32>(-1);
 
   const Function &fn;
+  const Cfg &cfg;
+  const Dominators &doms;
+  const SsaFunction &ssa;
   const std::map<std::string, Interval> *symbols;
   FunctionRanges out;
 
@@ -266,10 +269,11 @@ struct RangeAnalyzer {
   std::vector<std::vector<u32>> chain; ///< per-block governing cond indices
   std::vector<u32> grow;               ///< per-def widening counter
 
-  RangeAnalyzer(const Function &f, std::vector<Interval> args,
+  RangeAnalyzer(const FunctionFacts &facts, std::vector<Interval> args,
                 const std::map<std::string, Interval> *syms)
-      : fn(f), symbols(syms) {
-    out.function = &f;
+      : fn(facts.function()), cfg(facts.cfg()), doms(facts.dominators()),
+        ssa(facts.ssa()), symbols(syms) {
+    out.facts = &facts;
     out.argRanges = std::move(args);
     if (syms) out.symbols_ = *syms;
   }
@@ -456,8 +460,8 @@ struct RangeAnalyzer {
       auto &cb = code[b];
       for (const auto &in : fn.blocks[b].instrs) {
         if (in.op == "store") {
-          const auto sit = out.ssa.storeDef.find(&in);
-          if (sit == out.ssa.storeDef.end()) continue;
+          const auto sit = ssa.storeDef.find(&in);
+          if (sit == ssa.storeDef.end()) continue;
           CInstr ci;
           ci.op = CInstr::Op::StoreDef;
           ci.result = sit->second;
@@ -534,8 +538,8 @@ struct RangeAnalyzer {
   void collectEdgeConds() {
     for (usize b = 0; b < fn.blocks.size(); ++b) {
       const auto &bl = fn.blocks[b];
-      if (out.cfg.terminator[b] == Cfg::npos) continue;
-      const auto &term = bl.instrs[out.cfg.terminator[b]];
+      if (cfg.terminator[b] == Cfg::npos) continue;
+      const auto &term = bl.instrs[cfg.terminator[b]];
       if (term.op != "condbr" || term.operands.size() < 3) continue;
       const auto dit = defOf.find(term.operands[0]);
       if (dit == defOf.end()) continue;
@@ -543,7 +547,7 @@ struct RangeAnalyzer {
       if (cmp.op != "icmp" || cmp.operands.size() < 3) continue;
       const auto target = [&](const std::string &lab) -> std::optional<u32> {
         if (!str::startsWith(lab, "label:")) return std::nullopt;
-        return out.cfg.blockOf(lab.substr(6));
+        return cfg.blockOf(lab.substr(6));
       };
       const auto t = target(term.operands[1]);
       const auto f = target(term.operands[2]);
@@ -569,37 +573,34 @@ struct RangeAnalyzer {
   }
 
   void buildChains() {
-    chain.assign(out.cfg.size(), {});
-    for (usize x = 0; x < out.cfg.size(); ++x) {
-      if (!out.cfg.reachable[x]) continue;
+    chain.assign(cfg.size(), {});
+    for (usize x = 0; x < cfg.size(); ++x) {
+      if (!cfg.reachable[x]) continue;
       u32 d = static_cast<u32>(x);
       // Walk up: over a single-predecessor hop the edge's condition
       // governs everything below; at a join, skip to the idom (conditions
       // above it still hold on every path).
       usize guard = 0;
-      while (d != 0 && d != Dominators::npos && ++guard <= out.cfg.size() * 2) {
+      while (d != 0 && d != Dominators::npos && ++guard <= cfg.size() * 2) {
         std::vector<u32> preds;
-        for (const u32 p : out.cfg.preds[d])
-          if (out.cfg.reachable[p]) preds.push_back(p);
+        for (const u32 p : cfg.preds[d])
+          if (cfg.reachable[p]) preds.push_back(p);
         if (preds.size() == 1) {
           const auto it = edgeConds.find({preds[0], d});
           if (it != edgeConds.end()) chain[x].push_back(it->second);
           d = preds[0];
         } else {
-          d = out.doms.idom[d];
+          d = doms.idom[d];
         }
       }
     }
   }
 
   void run() {
-    out.cfg = buildCfg(fn);
-    out.doms = computeDominators(out.cfg);
-    out.ssa = buildSsa(fn, out.cfg, out.doms);
-    out.defRanges.assign(out.ssa.defs.size(), Interval::none());
-    grow.assign(out.ssa.defs.size(), 0);
-    for (usize i = 0; i < out.ssa.defs.size(); ++i)
-      if (out.ssa.defs[i].kind == SsaDef::Kind::Uninit)
+    out.defRanges.assign(ssa.defs.size(), Interval::none());
+    grow.assign(ssa.defs.size(), 0);
+    for (usize i = 0; i < ssa.defs.size(); ++i)
+      if (ssa.defs[i].kind == SsaDef::Kind::Uninit)
         out.defRanges[i] = Interval::top();
 
     for (const auto &bl : fn.blocks)
@@ -609,7 +610,7 @@ struct RangeAnalyzer {
     numberTemps();
     tempsV.assign(tempIds.size(), Interval::none());
     loadDefV.assign(tempIds.size(), npos);
-    for (const auto &[name, def] : out.ssa.loadDef)
+    for (const auto &[name, def] : ssa.loadDef)
       loadDefV[tempIds.at(name)] = def;
 
     collectEdgeConds();
@@ -617,18 +618,18 @@ struct RangeAnalyzer {
     compile();
 
     // Phi ids grouped by block for the sweep.
-    std::vector<std::vector<u32>> phisAt(out.cfg.size());
-    for (usize i = 0; i < out.ssa.defs.size(); ++i)
-      if (out.ssa.defs[i].kind == SsaDef::Kind::Phi)
-        phisAt[out.ssa.defs[i].block].push_back(static_cast<u32>(i));
+    std::vector<std::vector<u32>> phisAt(cfg.size());
+    for (usize i = 0; i < ssa.defs.size(); ++i)
+      if (ssa.defs[i].kind == SsaDef::Kind::Phi)
+        phisAt[ssa.defs[i].block].push_back(static_cast<u32>(i));
 
     const auto sweep = [&](bool widening) {
       bool changed = false;
-      for (const u32 b : out.cfg.rpo) {
-        if (!out.cfg.reachable[b]) continue;
+      for (const u32 b : cfg.rpo) {
+        if (!cfg.reachable[b]) continue;
         for (const u32 id : phisAt[b]) {
           Interval next = Interval::none();
-          for (const auto &[p, inId] : out.ssa.defs[id].incoming)
+          for (const auto &[p, inId] : ssa.defs[id].incoming)
             next = next.join(out.defRanges[inId]);
           if (widening) {
             next = next.join(out.defRanges[id]); // monotone ascent
@@ -677,16 +678,16 @@ struct RangeAnalyzer {
     // bounds the cycle manufactured for itself) and let two exact sweeps
     // propagate the recovered precision.
     {
-      std::vector<Interval> closure(out.ssa.defs.size(), Interval::none());
+      std::vector<Interval> closure(ssa.defs.size(), Interval::none());
       bool more = true;
       usize guard = 0;
-      while (more && ++guard <= out.ssa.defs.size() + 1) {
+      while (more && ++guard <= ssa.defs.size() + 1) {
         more = false;
-        for (usize i = 0; i < out.ssa.defs.size(); ++i) {
-          if (out.ssa.defs[i].kind != SsaDef::Kind::Phi) continue;
+        for (usize i = 0; i < ssa.defs.size(); ++i) {
+          if (ssa.defs[i].kind != SsaDef::Kind::Phi) continue;
           Interval next = Interval::none();
-          for (const auto &[p, inId] : out.ssa.defs[i].incoming)
-            next = next.join(out.ssa.defs[inId].kind == SsaDef::Kind::Phi
+          for (const auto &[p, inId] : ssa.defs[i].incoming)
+            next = next.join(ssa.defs[inId].kind == SsaDef::Kind::Phi
                                  ? closure[inId]
                                  : out.defRanges[inId]);
           if (next != closure[i]) {
@@ -696,8 +697,8 @@ struct RangeAnalyzer {
         }
       }
       bool tightened = false;
-      for (usize i = 0; i < out.ssa.defs.size(); ++i) {
-        if (out.ssa.defs[i].kind != SsaDef::Kind::Phi) continue;
+      for (usize i = 0; i < ssa.defs.size(); ++i) {
+        if (ssa.defs[i].kind != SsaDef::Kind::Phi) continue;
         const Interval m = out.defRanges[i].meet(closure[i]);
         if (!m.bot && m != out.defRanges[i]) {
           out.defRanges[i] = m;
@@ -715,16 +716,16 @@ struct RangeAnalyzer {
     // Return range.
     out.returnRange = Interval::none();
     for (usize b = 0; b < fn.blocks.size(); ++b) {
-      if (!out.cfg.reachable[b] || out.cfg.terminator[b] == Cfg::npos) continue;
-      const auto &term = fn.blocks[b].instrs[out.cfg.terminator[b]];
+      if (!cfg.reachable[b] || cfg.terminator[b] == Cfg::npos) continue;
+      const auto &term = fn.blocks[b].instrs[cfg.terminator[b]];
       if (term.op == "ret" && !term.operands.empty())
         out.returnRange = out.returnRange.join(
             lookup(compileOp(term.operands[0]), static_cast<u32>(b)));
     }
 
     // Freeze per-block refinement contexts for post-analysis queries.
-    for (usize x = 0; x < out.cfg.size(); ++x) {
-      if (!out.cfg.reachable[x]) continue;
+    for (usize x = 0; x < cfg.size(); ++x) {
+      if (!cfg.reachable[x]) continue;
       for (const u32 cix : chain[x])
         for (int side = 0; side < 2; ++side) {
           const EdgeCond &cond = conds[cix];
@@ -769,8 +770,9 @@ Interval FunctionRanges::valueAt(const std::string &operand, u32 block) const {
   }
   if (operand.empty() || operand.front() != '%') return Interval::top();
 
-  const auto ld = ssa.loadDef.find(operand);
-  if (ld != ssa.loadDef.end()) {
+  const auto &loadDef = facts->ssa().loadDef;
+  const auto ld = loadDef.find(operand);
+  if (ld != loadDef.end()) {
     v = defRanges[ld->second];
     const auto bit = refineDef_.find(block);
     if (bit != refineDef_.end()) {
@@ -797,8 +799,9 @@ Interval FunctionRanges::valueAt(const std::string &operand, u32 block) const {
 }
 
 Interval FunctionRanges::slotAt(const std::string &slot, u32 block) const {
-  const auto eit = ssa.entryDef.find({block, slot});
-  if (eit == ssa.entryDef.end()) return Interval::top();
+  const auto &entryDef = facts->ssa().entryDef;
+  const auto eit = entryDef.find({block, slot});
+  if (eit == entryDef.end()) return Interval::top();
   const u32 id = eit->second;
   Interval v = defRanges[id];
   const auto bit = refineDef_.find(block);
@@ -812,39 +815,14 @@ Interval FunctionRanges::slotAt(const std::string &slot, u32 block) const {
   return v.bot ? Interval::top() : v;
 }
 
-FunctionRanges analyzeRanges(const Function &fn, std::vector<Interval> argRanges,
+FunctionRanges analyzeRanges(const FunctionFacts &facts, std::vector<Interval> argRanges,
                              const std::map<std::string, Interval> *symbols) {
-  RangeAnalyzer ra(fn, std::move(argRanges), symbols);
+  RangeAnalyzer ra(facts, std::move(argRanges), symbols);
   ra.run();
   return std::move(ra.out);
 }
 
 // ----------------------------------------------------------- module pass --
-
-namespace {
-
-/// Functions reachable from themselves through resolved call edges.
-[[nodiscard]] std::set<std::string> recursiveFunctions(const CallGraph &cg) {
-  std::set<std::string> rec;
-  for (const auto &[name, direct] : cg.callees) {
-    std::set<std::string> seen;
-    std::vector<std::string> work(direct.begin(), direct.end());
-    bool hit = false;
-    while (!work.empty() && !hit) {
-      const std::string c = work.back();
-      work.pop_back();
-      if (!seen.insert(c).second) continue;
-      if (c == name) hit = true;
-      const auto it = cg.callees.find(c);
-      if (it != cg.callees.end())
-        for (const auto &n : it->second) work.push_back(n);
-    }
-    if (hit) rec.insert(name);
-  }
-  return rec;
-}
-
-} // namespace
 
 std::optional<i64> arrayLength(const Function &fn, const std::string &root) {
   if (root.empty() || root.front() != '%') return std::nullopt;
@@ -864,10 +842,10 @@ std::optional<i64> arrayLength(const Function &fn, const std::string &root) {
   return std::nullopt;
 }
 
-ModuleRanges analyzeModuleRanges(const Module &m) {
+ModuleRanges analyzeModuleRanges(const ModuleFacts &facts) {
   ModuleRanges out;
-  const CallGraph cg = buildCallGraph(m);
-  const std::set<std::string> recursive = recursiveFunctions(cg);
+  const Module &m = facts.module();
+  const std::set<std::string> &recursive = facts.callGraph().recursive;
 
   // Symbols that escape as non-callee call operands (outlined bodies given
   // to fork_call, function pointers): their argument ranges stay ⊤.
@@ -931,14 +909,15 @@ ModuleRanges analyzeModuleRanges(const Module &m) {
     std::map<std::string, Interval> nextSymbols;
     std::map<std::string, Interval> globalStores;
 
-    for (const auto &fn : m.functions) {
+    for (const auto &ff : facts.functions()) {
+      const Function &fn = ff.function();
       if (fn.role == FunctionRole::Runtime) continue;
       auto &memo = memos[fn.name];
       std::vector<Interval> a;
       if (const auto it = args.find(fn.name); it != args.end()) a = it->second;
       std::vector<Interval> syms = symValues(memo);
       if (!memo.valid || a != memo.inArgs || syms != memo.inSyms) {
-        memo.fr = analyzeRanges(fn, a, &symbols);
+        memo.fr = analyzeRanges(ff, a, &symbols);
         memo.inArgs = std::move(a);
         memo.inSyms = std::move(syms);
         memo.valid = true;
@@ -948,7 +927,7 @@ ModuleRanges analyzeModuleRanges(const Module &m) {
         // Harvest call-site argument ranges and global scalar stores.
         const FunctionRanges &fr = memo.fr;
         for (usize b = 0; b < fn.blocks.size(); ++b) {
-          if (!fr.cfg.reachable[b]) continue;
+          if (!ff.cfg().reachable[b]) continue;
           for (const auto &in : fn.blocks[b].instrs) {
             if (in.op == "call" && !in.operands.empty() &&
                 !in.operands[0].empty() && in.operands[0].front() == '@') {

@@ -30,10 +30,15 @@
 //                call operand widen to ⊤, mirroring the mod/ref design.
 //
 // Nothing here mutates the module; like the SSA overlay, the result is a
-// side table queried by line/block. Consumers: deps.cpp (induction bounds
-// for Banerjee / weak-zero SIV and trip counts), lint/rangelint.cpp (OOB /
-// div-by-zero / dead-branch checks), the fuzz `range` oracle (VM observed
-// values must lie inside these intervals).
+// side table queried by line/block. Each function's CFG, dominators and SSA
+// come from ir::ModuleFacts (ir/facts.hpp), built once however many
+// interprocedural rounds rerun the fixpoint, and the results point into
+// those facts: they must not outlive them.
+//
+// Consumers: deps.cpp (induction bounds for Banerjee / weak-zero SIV and
+// trip counts), lint/rangelint.cpp (OOB / div-by-zero / dead-branch
+// checks), the fuzz `range` oracle (VM observed values must lie inside
+// these intervals).
 #pragma once
 
 #include <limits>
@@ -42,8 +47,7 @@
 #include <string>
 #include <vector>
 
-#include "ir/callgraph.hpp"
-#include "ir/ssa.hpp"
+#include "ir/facts.hpp"
 
 namespace sv::ir {
 
@@ -97,11 +101,10 @@ struct Interval {
 /// Value ranges for one function, queryable by operand and block. The
 /// block parameter selects the refinement context (which governing branch
 /// conditions apply); pass the block the consuming instruction lives in.
+/// The ranges are keyed by the SSA overlay of the facts they were computed
+/// over and point into them: they must not outlive those facts.
 struct FunctionRanges {
-  const Function *function = nullptr;
-  SsaFunction ssa;
-  Dominators doms;
-  Cfg cfg;
+  const FunctionFacts *facts = nullptr; ///< the CFG/dominators/SSA analysed
 
   std::map<std::string, Interval> temps; ///< "%N" instruction results
   std::vector<Interval> defRanges;       ///< per SSA def id (unrefined)
@@ -127,7 +130,8 @@ private:
 };
 
 /// Whole-module analysis: function ranges under interprocedurally derived
-/// argument ranges, plus the summaries themselves.
+/// argument ranges, plus the summaries themselves. Points into the
+/// ir::ModuleFacts it was computed over.
 struct ModuleRanges {
   std::map<std::string, FunctionRanges> functions; ///< by function name
   std::map<std::string, std::vector<Interval>> argRanges;
@@ -141,16 +145,22 @@ struct ModuleRanges {
 
 /// Analyze one function under the given argument ranges (missing entries
 /// are ⊤). `symbols`, when provided, supplies call-result and global
-/// scalar intervals keyed by "@name".
+/// scalar intervals keyed by "@name". The result points into `facts`, so
+/// temporary facts are rejected at compile time.
 [[nodiscard]] FunctionRanges
-analyzeRanges(const Function &fn, std::vector<Interval> argRanges = {},
+analyzeRanges(const FunctionFacts &facts, std::vector<Interval> argRanges = {},
               const std::map<std::string, Interval> *symbols = nullptr);
+FunctionRanges analyzeRanges(FunctionFacts &&, std::vector<Interval> = {},
+                             const std::map<std::string, Interval> * = nullptr) = delete;
 
 /// Interprocedural driver: bounded caller/callee rounds over the module's
 /// call graph. Recursive SCC members and functions whose symbol is passed
 /// as a call argument (outlined bodies behind fork_call, function
-/// pointers) keep ⊤ argument ranges.
-[[nodiscard]] ModuleRanges analyzeModuleRanges(const Module &m);
+/// pointers) keep ⊤ argument ranges. Every round reuses the facts' CFG,
+/// dominators and SSA; only the interval fixpoint reruns. The result
+/// points into `facts`, so `analyzeModuleRanges(module)` does not compile.
+[[nodiscard]] ModuleRanges analyzeModuleRanges(const ModuleFacts &facts);
+ModuleRanges analyzeModuleRanges(ModuleFacts &&) = delete;
 
 /// Element count of a stack array: the alloca defining `root` with
 /// compile-time constant size operands (their product). nullopt for

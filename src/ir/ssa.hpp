@@ -10,9 +10,10 @@
 // construction, which the round-trip test pins.
 //
 // The dominator machinery (bit-vector dominator sets, immediate dominators,
-// dominance frontiers) lives here as the shared public API; deps.cpp's loop
-// recovery consumes the same `computeDominators` instead of its former
-// private copy.
+// dominance frontiers) lives here too. Analyses do not call these builders:
+// ir::FunctionFacts (ir/facts.hpp) builds a function's dominators and
+// overlay once, and the range fixpoint, the dependence tier's loop recovery
+// and the range tier's loop-header test all borrow them.
 #pragma once
 
 #include <map>

@@ -31,4 +31,9 @@ std::string SourceManager::describe(const Location &loc) const {
          std::to_string(loc.col);
 }
 
+bool isFortranFile(std::string_view file) {
+  return file.ends_with(".f90") || file.ends_with(".f95") || file.ends_with(".f03") ||
+         file.ends_with(".f");
+}
+
 } // namespace sv::lang

@@ -50,6 +50,10 @@ private:
   std::map<std::string, i32, std::less<>> index_;
 };
 
+/// True for Fortran sources, by extension: .f90, .f95, .f03 or .f. The one
+/// definition of the rule every frontend, lint tier and fuzz replay uses.
+[[nodiscard]] bool isFortranFile(std::string_view file);
+
 /// Error raised by the frontends; carries a rendered location.
 class FrontendError : public ParseError {
 public:

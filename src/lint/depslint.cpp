@@ -111,26 +111,26 @@ struct UnitEvidence {
 
 class DepsLinter {
 public:
-  DepsLinter(const ir::Module &module, const DepsOptions &options)
-      : module_(module), options_(options) {}
+  DepsLinter(const ir::ModuleFacts &facts, const DepsOptions &options)
+      : facts_(facts), options_(options) {}
 
   std::vector<Diagnostic> run() {
     if (options_.unit) evidence_.collect(*options_.unit);
     collectReduceMarkers();
-    const ir::ModuleDeps md = ir::analyzeModule(module_);
+    const ir::ModuleDeps md = ir::analyzeModule(facts_);
     for (const auto &fd : md.functions) visitFunction(fd);
     return em_.take();
   }
 
 private:
-  const ir::Module &module_;
+  const ir::ModuleFacts &facts_;
   const DepsOptions &options_;
   UnitEvidence evidence_;
   std::set<std::string> reduceMarked_; ///< outlined fns named by __kmpc_reduce
   Emitter em_;
 
   void collectReduceMarkers() {
-    for (const auto &fn : module_.functions)
+    for (const auto &fn : facts_.module().functions)
       for (const auto &b : fn.blocks)
         for (const auto &in : b.instrs)
           if (in.op == "call" && in.operands.size() >= 2 &&
@@ -351,8 +351,8 @@ AssignDep classifyArrayAssign(const Stmt &s) {
   return result;
 }
 
-std::vector<Diagnostic> runDeps(const ir::Module &module, const DepsOptions &options) {
-  return DepsLinter(module, options).run();
+std::vector<Diagnostic> runDeps(const ir::ModuleFacts &facts, const DepsOptions &options) {
+  return DepsLinter(facts, options).run();
 }
 
 } // namespace sv::lint

@@ -36,7 +36,10 @@ struct DepsOptions {
   const lang::ast::TranslationUnit *unit = nullptr;
 };
 
-[[nodiscard]] std::vector<Diagnostic> runDeps(const ir::Module &module,
+/// Run the dependence engine over `facts` (CFG, dominators and call graph;
+/// no value ranges, so verdicts rest on compile-time constant bounds) and
+/// turn its per-loop facts into the verdicts above.
+[[nodiscard]] std::vector<Diagnostic> runDeps(const ir::ModuleFacts &facts,
                                               const DepsOptions &options = {});
 
 /// AST-level dependence classification of one Fortran whole-array

@@ -3,7 +3,6 @@
 #include <map>
 #include <set>
 
-#include "ir/cfg.hpp"
 #include "ir/dataflow.hpp"
 #include "support/strings.hpp"
 
@@ -29,9 +28,9 @@ const Instr *firstLocated(const ir::Block &b) {
 
 class FunctionLinter {
 public:
-  FunctionLinter(const ir::Function &fn, const std::set<std::string> &stubs,
+  FunctionLinter(const ir::FunctionFacts &facts, const std::set<std::string> &stubs,
                  Emitter &em)
-      : fn_(fn), stubs_(stubs), em_(em), cfg_(ir::buildCfg(fn)) {}
+      : fn_(facts.function()), stubs_(stubs), em_(em), cfg_(facts.cfg()) {}
 
   void run() {
     checkUnreachable();
@@ -287,19 +286,19 @@ private:
   const ir::Function &fn_;
   const std::set<std::string> &stubs_;
   Emitter &em_;
-  Cfg cfg_;
+  const Cfg &cfg_;
   mutable std::map<std::string, const Instr *> defs_; ///< lazy result -> instr
 };
 
 } // namespace
 
-std::vector<Diagnostic> runIr(const ir::Module &module) {
+std::vector<Diagnostic> runIr(const ir::ModuleFacts &facts) {
   std::set<std::string> stubs;
-  for (const auto &fn : module.functions)
+  for (const auto &fn : facts.module().functions)
     if (fn.role == FunctionRole::DeviceStub) stubs.insert(fn.name); // names carry '@'
 
   Emitter em;
-  for (const auto &fn : module.functions) FunctionLinter(fn, stubs, em).run();
+  for (const auto &ff : facts.functions()) FunctionLinter(ff, stubs, em).run();
   return em.take();
 }
 

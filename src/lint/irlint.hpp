@@ -26,14 +26,16 @@
 //                      (stale). Both Warning.
 #pragma once
 
-#include "ir/ir.hpp"
+#include "ir/facts.hpp"
 #include "lint/lint.hpp"
 
 namespace sv::lint {
 
-/// Run every IR-tier check over one lowered module. Diagnostics carry the
-/// instruction's source location (see the lowering's location-propagation
-/// contract) and the enclosing function name in `directive`.
-[[nodiscard]] std::vector<Diagnostic> runIr(const ir::Module &module);
+/// Run every IR-tier check over one lowered module, reading each function's
+/// CFG from `facts` (only the CFG: this tier never builds dominators or
+/// SSA). Diagnostics carry the instruction's source location (see the
+/// lowering's location-propagation contract) and the enclosing function
+/// name in `directive`.
+[[nodiscard]] std::vector<Diagnostic> runIr(const ir::ModuleFacts &facts);
 
 } // namespace sv::lint

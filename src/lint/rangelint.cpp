@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "ir/callgraph.hpp"
 #include "ir/range.hpp"
 
 namespace sv::lint {
@@ -19,36 +18,26 @@ std::string keyOf(Check check, const std::string &fn, i32 line,
          symbol;
 }
 
-/// The lowering keeps source-level subscripts: C-family geps index from 0,
-/// Fortran geps from 1 (ir/lower.cpp emits the AST index untouched), so
-/// the valid range of a stack array of n elements depends on the module's
-/// source language.
-[[nodiscard]] i64 indexBase(const ir::Module &m) {
-  const auto &f = m.sourceFile;
-  const auto dot = f.rfind('.');
-  if (dot == std::string::npos) return 0;
-  const std::string ext = f.substr(dot);
-  return ext == ".f90" || ext == ".f95" || ext == ".f" ? 1 : 0;
-}
-
 class RangeLinter {
 public:
-  RangeLinter(const ir::Module &module)
-      : module_(module), base_(indexBase(module)) {}
+  // The lowering keeps source-level subscripts: C-family geps index from 0,
+  // Fortran geps from 1 (ir/lower.cpp emits the AST index untouched), so
+  // the valid range of a stack array of n elements depends on the module's
+  // source language.
+  explicit RangeLinter(const ir::Module &module)
+      : base_(lang::isFortranFile(module.sourceFile) ? 1 : 0) {}
 
-  std::vector<Diagnostic> run() {
-    const ir::ModuleRanges mr = ir::analyzeModuleRanges(module_);
-    for (const auto &fn : module_.functions) {
-      if (fn.role == ir::FunctionRole::Runtime) continue;
-      const ir::FunctionRanges *fr = mr.rangesOf(fn.name);
+  std::vector<Diagnostic> run(const ir::ModuleFacts &facts, const ir::ModuleRanges &mr) {
+    for (const auto &ff : facts.functions()) {
+      if (ff.function().role == ir::FunctionRole::Runtime) continue;
+      const ir::FunctionRanges *fr = mr.rangesOf(ff.function().name);
       if (!fr) continue;
-      visit(fn, *fr);
+      visit(ff, *fr);
     }
     return em_.take();
   }
 
 private:
-  const ir::Module &module_;
   i64 base_; ///< first valid subscript: 0 for C-family, 1 for Fortran
   Emitter em_;
 
@@ -59,18 +48,18 @@ private:
                  std::move(message));
   }
 
-  /// A loop header: a reachable block with a reachable predecessor it
-  /// dominates (same back-edge criterion the dependence tier uses).
-  [[nodiscard]] bool isLoopHeader(const ir::FunctionRanges &fr, u32 b) const {
-    for (const u32 p : fr.cfg.preds[b])
-      if (fr.cfg.reachable[p] && fr.doms.dominates(b, p)) return true;
+  /// A loop header: the target of a back edge, by the facts' criterion.
+  [[nodiscard]] static bool isLoopHeader(const ir::FunctionFacts &ff, u32 b) {
+    for (const u32 p : ff.cfg().preds[b])
+      if (ff.isBackEdge(p, b)) return true;
     return false;
   }
 
-  void visit(const ir::Function &fn, const ir::FunctionRanges &fr) {
+  void visit(const ir::FunctionFacts &ff, const ir::FunctionRanges &fr) {
+    const ir::Function &fn = ff.function();
     const ir::ValueChaser chase(fn);
     for (usize b = 0; b < fn.blocks.size(); ++b) {
-      if (b >= fr.cfg.size() || !fr.cfg.reachable[b]) continue;
+      if (!ff.cfg().reachable[b]) continue;
       const u32 block = static_cast<u32>(b);
       for (const auto &in : fn.blocks[b].instrs) {
         if (in.op == "getelementptr" && in.operands.size() >= 2) {
@@ -78,7 +67,7 @@ private:
         } else if ((in.op == "sdiv" || in.op == "srem") && in.operands.size() >= 2) {
           checkDivisor(fn, fr, in, block);
         } else if (in.op == "condbr" && !in.operands.empty()) {
-          checkBranch(fn, fr, in, block);
+          checkBranch(ff, fr, in, block);
         }
       }
     }
@@ -117,11 +106,12 @@ private:
                " by a divisor proven to be zero");
   }
 
-  void checkBranch(const ir::Function &fn, const ir::FunctionRanges &fr,
+  void checkBranch(const ir::FunctionFacts &ff, const ir::FunctionRanges &fr,
                    const ir::Instr &in, u32 block) {
+    const ir::Function &fn = ff.function();
     const Interval c = fr.valueAt(in.operands[0], block);
     if (!c.isConst() || c.lo != 0) return;
-    if (isLoopHeader(fr, block)) {
+    if (isLoopHeader(ff, block)) {
       emit(Check::ZeroTripLoop, Severity::Note, fn, in, in.operands[0],
            "loop condition is false on entry: the body never runs");
     } else {
@@ -133,8 +123,11 @@ private:
 
 } // namespace
 
-std::vector<Diagnostic> runRange(const ir::Module &module) {
-  return RangeLinter(module).run();
+std::vector<Diagnostic> runRange(const ir::ModuleFacts &facts,
+                                 const ir::ModuleRanges *ranges) {
+  RangeLinter linter(facts.module());
+  if (ranges) return linter.run(facts, *ranges);
+  return linter.run(facts, ir::analyzeModuleRanges(facts));
 }
 
 } // namespace sv::lint

@@ -21,15 +21,18 @@
 //                     often deliberate in ported benchmarks)
 #pragma once
 
-#include "ir/ir.hpp"
+#include "ir/range.hpp"
 #include "lint/lint.hpp"
 
 namespace sv::lint {
 
-/// Run the value-range checks over one lowered module. The interprocedural
-/// range analysis runs inside (bounded rounds over the call graph); the
+/// Run the value-range checks over one lowered module. `ranges`, when
+/// given, is the interprocedural range analysis already computed over
+/// `facts` (svale range reports its summaries and feeds it here); without
+/// it the analysis runs inside (bounded rounds over the call graph). The
 /// diagnostics carry the instruction's source location and the enclosing
 /// function name in `directive`.
-[[nodiscard]] std::vector<Diagnostic> runRange(const ir::Module &module);
+[[nodiscard]] std::vector<Diagnostic> runRange(const ir::ModuleFacts &facts,
+                                               const ir::ModuleRanges *ranges = nullptr);
 
 } // namespace sv::lint

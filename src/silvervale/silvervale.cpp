@@ -41,12 +41,13 @@ lint::Report lintCodebase(const db::Codebase &codebase, const LintOptions &optio
         unit.diags = lint::run(parsed.tu);
         if (!options.ir && !options.deps && !options.range) return;
         const auto module = ir::lower(parsed.tu, {.model = parsed.model});
+        const ir::ModuleFacts facts(module); // shared by every IR tier below
         const auto append = [&unit](const std::vector<lint::Diagnostic> &diags) {
           unit.diags.insert(unit.diags.end(), diags.begin(), diags.end());
         };
-        if (options.ir) append(lint::runIr(module));
-        if (options.deps) append(lint::runDeps(module, {.unit = &parsed.tu}));
-        if (options.range) append(lint::runRange(module));
+        if (options.ir) append(lint::runIr(facts));
+        if (options.deps) append(lint::runDeps(facts, {.unit = &parsed.tu}));
+        if (options.range) append(lint::runRange(facts));
       },
       options.threads, "lint-units");
   return report;
@@ -65,8 +66,9 @@ DepsReport depsCodebase(const db::Codebase &codebase) {
         unit.file = lowered.file;
         // The whole-codebase report is the expensive path anyway, so it runs
         // under the interprocedural value ranges for the sharper verdicts.
-        const auto ranges = ir::analyzeModuleRanges(lowered.module);
-        unit.deps = ir::analyzeModule(lowered.module, &ranges);
+        const ir::ModuleFacts facts(lowered.module);
+        const auto ranges = ir::analyzeModuleRanges(facts);
+        unit.deps = ir::analyzeModule(facts, &ranges);
       },
       0, "deps-units");
   return report;
@@ -208,7 +210,8 @@ RangeReport rangeCodebase(const db::Codebase &codebase) {
         const auto lowered = db::lowerParsed(db::parseUnit(codebase, codebase.commands[i]));
         auto &unit = report.units[i];
         unit.file = lowered.file;
-        const auto mr = ir::analyzeModuleRanges(lowered.module);
+        const ir::ModuleFacts facts(lowered.module);
+        const auto mr = ir::analyzeModuleRanges(facts);
         for (const auto &fn : lowered.module.functions) {
           if (fn.role == ir::FunctionRole::Runtime) continue;
           const auto *fr = mr.rangesOf(fn.name);
@@ -220,7 +223,7 @@ RangeReport rangeCodebase(const db::Codebase &codebase) {
           rf.rounds = fr->rounds;
           unit.functions.push_back(std::move(rf));
         }
-        unit.diags = lint::runRange(lowered.module);
+        unit.diags = lint::runRange(facts, &mr);
       },
       0, "range-units");
   return report;

@@ -59,6 +59,8 @@ TEST(CompileDb, DefineExtraction) {
 TEST(CompileDb, FortranDetection) {
   EXPECT_TRUE(isFortranFile("main.f90"));
   EXPECT_TRUE(isFortranFile("a.f"));
+  EXPECT_TRUE(isFortranFile("b.f95"));
+  EXPECT_TRUE(isFortranFile("c.f03"));
   EXPECT_FALSE(isFortranFile("main.cpp"));
 }
 

@@ -97,3 +97,15 @@ TEST_F(DiskLoadFixture, AbsolutePathsNormalised) {
   const auto cb = db::loadFromDisk(root_.string());
   EXPECT_EQ(cb.commands[0].file, "src/main.cpp");
 }
+
+TEST_F(DiskLoadFixture, LoadsEveryFortranExtension) {
+  // Every extension lang::isFortranFile accepts is registered from disk.
+  write("compile_commands.json", R"([
+    {"directory": "/b", "arguments": ["gfortran", "-c", "src/main.f03"], "file": "src/main.f03"}
+  ])");
+  write("src/main.f03", "program p\n  integer :: i\n  i = 1\nend program\n");
+  const auto cb = db::loadFromDisk(root_.string());
+  ASSERT_EQ(cb.commands.size(), 1u);
+  EXPECT_TRUE(cb.sources.idOf("src/main.f03").has_value());
+  EXPECT_TRUE(db::isFortranFile(cb.commands[0].file));
+}

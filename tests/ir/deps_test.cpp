@@ -67,7 +67,7 @@ TEST(DepsLoops, IrreducibleCycleYieldsNoLoops) {
                       {instr("icmp", "i1", "%1", {"lt", "const:1", "const:2"}),
                        instr("condbr", "void", "", {"%1", "label:a", "label:end"})}});
   f.blocks.push_back({"end", {instr("ret", "void", "", {})}});
-  const auto loops = findLoops(f, buildCfg(f));
+  const auto loops = findLoops(FunctionFacts(f));
   EXPECT_TRUE(loops.empty());
 }
 

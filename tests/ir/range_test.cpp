@@ -35,12 +35,21 @@ const Function *fnNamed(const Module &m, const std::string &name) {
   return nullptr;
 }
 
+/// What the widening tests read of one function's standalone analysis.
+struct RangeSummary {
+  Interval returnRange;
+  usize rounds = 0;
+};
+
 /// Range results for the one user function of a single-function source.
-FunctionRanges rangesOf(const std::string &src, const std::string &name) {
+RangeSummary rangesOf(const std::string &src, const std::string &name) {
   const Module m = lowerSrc(src);
   const Function *fn = fnNamed(m, name);
   EXPECT_NE(fn, nullptr) << name << " not lowered";
-  return analyzeRanges(*fn);
+  if (!fn) return {};
+  const FunctionFacts facts(*fn);
+  const FunctionRanges fr = analyzeRanges(facts);
+  return {fr.returnRange, fr.rounds};
 }
 
 } // namespace
@@ -169,7 +178,8 @@ TEST(RangeInterproc, CalleeReturnAndArgumentSummariesPropagate) {
   const Module m = lowerSrc("int bound() { return 8; }\n"
                             "int scale(int k) { return k * 2; }\n"
                             "int f() { return scale(bound()); }\n");
-  const ModuleRanges mr = analyzeModuleRanges(m);
+  const ModuleFacts facts(m);
+  const ModuleRanges mr = analyzeModuleRanges(facts);
   const auto *scale = mr.rangesOf("@scale");
   ASSERT_NE(scale, nullptr);
   // scale is only ever called with bound()'s result: arg 0 is [8, 8].
@@ -186,7 +196,8 @@ TEST(RangeInterproc, RecursionWidensToTop) {
                             "  if (n < 1) { return 0; }\n"
                             "  return down(n - 1);\n"
                             "}\n");
-  const ModuleRanges mr = analyzeModuleRanges(m);
+  const ModuleFacts facts(m);
+  const ModuleRanges mr = analyzeModuleRanges(facts);
   const auto *down = mr.rangesOf("@down");
   ASSERT_NE(down, nullptr);
   ASSERT_EQ(down->argRanges.size(), 1u);
@@ -200,15 +211,13 @@ namespace {
 /// Build + verify the overlay for every user function; returns total phis.
 usize verifyModuleSsa(const Module &m) {
   usize phis = 0;
-  for (const auto &fn : m.functions) {
-    if (fn.role == FunctionRole::Runtime) continue;
-    const Cfg cfg = buildCfg(fn);
-    const Dominators doms = computeDominators(cfg);
-    const SsaFunction ssa = buildSsa(fn, cfg, doms);
-    const auto violations = verifySsa(ssa, cfg);
+  const ModuleFacts facts(m);
+  for (const auto &ff : facts.functions()) {
+    if (ff.function().role == FunctionRole::Runtime) continue;
+    const auto violations = verifySsa(ff.ssa(), ff.cfg());
     EXPECT_TRUE(violations.empty())
-        << fn.name << ": " << (violations.empty() ? "" : violations.front());
-    phis += ssa.phiCount();
+        << ff.function().name << ": " << (violations.empty() ? "" : violations.front());
+    phis += ff.ssa().phiCount();
   }
   return phis;
 }
@@ -244,12 +253,10 @@ TEST(RangeSsa, LoadsMapToReachingStores) {
                             "}\n");
   const Function *fn = fnNamed(m, "@f");
   ASSERT_NE(fn, nullptr);
-  const Cfg cfg = buildCfg(*fn);
-  const Dominators doms = computeDominators(cfg);
-  const SsaFunction ssa = buildSsa(*fn, cfg, doms);
-  EXPECT_TRUE(verifySsa(ssa, cfg).empty());
+  const FunctionFacts facts(*fn);
+  EXPECT_TRUE(verifySsa(facts.ssa(), facts.cfg()).empty());
   // The merged return value must read through a phi joining both stores.
-  EXPECT_GE(ssa.phiCount(), 1u);
-  const FunctionRanges fr = analyzeRanges(*fn);
+  EXPECT_GE(facts.ssa().phiCount(), 1u);
+  const FunctionRanges fr = analyzeRanges(facts);
   EXPECT_EQ(fr.returnRange, Interval::of(3, 5));
 }

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.hpp"
+#include "ir/lower.hpp"
+#include "lint/depslint.hpp"
+#include "lint/irlint.hpp"
+#include "lint/rangelint.hpp"
 #include "silvervale/silvervale.hpp"
 
 using namespace sv;
@@ -66,4 +70,39 @@ TEST(LintClean, EveryCorpusPortIsIrClean) {
     }
   }
   EXPECT_GE(ports, 40u);
+}
+
+TEST(LintFacts, SharedFactsMatchPerTierBareModules) {
+  // lintCodebase and rangeCodebase build one ir::ModuleFacts per unit and
+  // run every IR tier over it (svale range also feeds one range analysis to
+  // both its summaries and its diagnostics). The bare-module entry points,
+  // which the benches and the traced end-to-end pass call, build fresh
+  // facts per tier. Both paths must report the same diagnostics in the
+  // same order.
+  usize units = 0;
+  for (const auto &app : corpus::appNames()) {
+    for (const auto &model : corpus::modelsOf(app)) {
+      const auto cb = corpus::make(app, model);
+      const auto lint = silvervale::lintCodebase(cb, {.ir = true, .deps = true, .range = true});
+      const auto range = silvervale::rangeCodebase(cb);
+      ASSERT_EQ(lint.units.size(), cb.commands.size());
+      ASSERT_EQ(range.units.size(), cb.commands.size());
+      for (usize i = 0; i < cb.commands.size(); ++i) {
+        const auto parsed = db::parseUnit(cb, cb.commands[i]);
+        const auto module = ir::lower(parsed.tu, {.model = parsed.model});
+        auto expected = lint::run(parsed.tu);
+        const auto append = [&expected](const std::vector<lint::Diagnostic> &diags) {
+          expected.insert(expected.end(), diags.begin(), diags.end());
+        };
+        append(lint::runIr(module));
+        append(lint::runDeps(module, {.unit = &parsed.tu}));
+        const auto rangeDiags = lint::runRange(module);
+        append(rangeDiags);
+        EXPECT_EQ(lint.units[i].diags, expected) << app << "/" << model << " " << parsed.file;
+        EXPECT_EQ(range.units[i].diags, rangeDiags) << app << "/" << model << " " << parsed.file;
+        ++units;
+      }
+    }
+  }
+  EXPECT_GE(units, 65u); // every unit of the 46 ports
 }

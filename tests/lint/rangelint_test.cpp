@@ -32,8 +32,9 @@ std::vector<lint::Diagnostic> rangeC(const std::string &src,
 }
 
 std::vector<lint::Diagnostic> rangeF(const std::string &src,
-                                     ir::Model model = ir::Model::Serial) {
-  auto tu = minif::parseFortran(minif::lexFortran(src, 0), "t.f90", gSm);
+                                     ir::Model model = ir::Model::Serial,
+                                     const std::string &file = "t.f90") {
+  auto tu = minif::parseFortran(minif::lexFortran(src, 0), file, gSm);
   ir::LowerOptions opts;
   opts.model = model;
   return lint::runRange(ir::lower(tu, opts));
@@ -126,6 +127,19 @@ TEST(LintRange, OutOfBoundsSilentFortranInBounds) {
                             "    a(i) = 0.5\n"
                             "  end do\n"
                             "end subroutine\n");
+  EXPECT_EQ(count(diags, lint::Check::OutOfBounds), 0u);
+}
+
+TEST(LintRange, OutOfBoundsSilentFortranF03) {
+  // Every Fortran extension gets Fortran's 1-based subscript window.
+  const auto diags = rangeF("subroutine s()\n"
+                            "  real(8) :: a(8)\n"
+                            "  integer :: i\n"
+                            "  do i = 1, 8\n"
+                            "    a(i) = 0.5\n"
+                            "  end do\n"
+                            "end subroutine\n",
+                            ir::Model::Serial, "t.f03");
   EXPECT_EQ(count(diags, lint::Check::OutOfBounds), 0u);
 }
 
