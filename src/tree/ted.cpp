@@ -1,6 +1,8 @@
 #include "tree/ted.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "tree/tedbounds.hpp"
@@ -88,6 +90,7 @@ u64 zhangShasha(const PostView &a, const PostView &b, const TedCosts &costs, u64
   if (a.n == 0) return std::min(static_cast<u64>(b.n) * costs.ins, cutoff ? cutoff : noCut);
   if (b.n == 0) return std::min(static_cast<u64>(a.n) * costs.del, cutoff ? cutoff : noCut);
 
+  checkPairDp(a.n, b.n, 2 * sizeof(u64)); // TD and FD
   // treedist[i][j], 1-based.
   std::vector<u64> td((a.n + 1) * (b.n + 1), 0);
   const auto TD = [&](usize i, usize j) -> u64 & { return td[i * (b.n + 1) + j]; };
@@ -146,6 +149,16 @@ u64 zhangShasha(const PostView &a, const PostView &b, const TedCosts &costs, u64
 }
 
 } // namespace
+
+void checkPairDp(usize n1, usize n2, u64 bytesPerCell) {
+  u64 cells = 0, bytes = 0;
+  const bool overflow = __builtin_mul_overflow(u64{n1} + 1, u64{n2} + 1, &cells) ||
+                        __builtin_mul_overflow(cells, bytesPerCell, &bytes);
+  if (!overflow && bytes <= kMaxPairDpBytes) return;
+  throw std::runtime_error("tree edit distance: a " + std::to_string(n1) + " x " +
+                           std::to_string(n2) + "-node pair needs more DP memory than the " +
+                           std::to_string(kMaxPairDpBytes) + "-byte limit per pair");
+}
 
 u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options) {
   // Filter before the DP: in cutoff mode a signature lower bound already at

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "tree/tree.hpp"
 
@@ -57,6 +58,17 @@ struct TedOptions {
   u64 cutoff = 0;
 };
 
+/// Ceiling on one tree pair's DP memory: the TD and FD tables plus, for
+/// Apted, the strategy matrix. 1 GiB is ~40x the paper deck's largest pair
+/// (1707 x 1708 nodes: ~2.9 M cells, ~26 MB at u32 cells).
+inline constexpr u64 kMaxPairDpBytes = u64{1} << 30;
+
+/// Both TED algorithms call this before allocating a pair's tables:
+/// throws std::runtime_error naming n1, n2 and kMaxPairDpBytes when
+/// `bytesPerCell` bytes for each of the (n1 + 1) * (n2 + 1) node-pair cells
+/// exceed the ceiling.
+void checkPairDp(usize n1, usize n2, u64 bytesPerCell);
+
 /// d_TED(t1, t2): minimal total cost of node deletions, insertions and
 /// relabellings transforming t1 into t2. All algorithms return identical
 /// values; see tests/tree/ted_test.cpp for the cross-check property suite.
@@ -72,7 +84,11 @@ namespace apted {
 /// One decomposition orientation of an indexed tree. Positions are 1-based
 /// post-order indices *of this orientation* (the right orientation
 /// traverses mirrored child order); `toCanon` maps them back to the
-/// canonical (left post-order) ids the shared TD table is keyed by.
+/// canonical (left post-order) ids the shared TD table is keyed by. The
+/// kernel reads them once per FD row for the tree whose prefixes index a
+/// block's rows, and once per keyroot for the tree whose prefixes index its
+/// columns: `lml` gives the path test (`lml[d] == lml[keyroot]`) and the
+/// subtree-jump prefix, `toCanon` the TD offset, `label` the rename test.
 struct OrientIndex {
   std::vector<u32> label;     ///< [1..n] interned label id
   std::vector<u32> lml;       ///< [1..n] post-order index of the path-leaf descendant
@@ -82,17 +98,25 @@ struct OrientIndex {
 
 /// Everything the strategy DP and the distance kernels need for one tree,
 /// built once in O(n). Canonical node ids are 1-based left post-order.
+/// Children are stored flat (CSR): the strategy DP sums over each node's
+/// children once per node of the other tree, and `run` walks paths by them.
 struct TreeIndex {
   usize n = 0;
-  OrientIndex left;                       ///< canonical orientation (toCanon = identity)
-  OrientIndex right;                      ///< mirrored child order
-  std::vector<u32> canonToRight;          ///< [1..n] canonical -> right post-order position
-  std::vector<u32> parent;                ///< [1..n] canonical parent (0 for the root)
-  std::vector<std::vector<u32>> children; ///< [1..n] canonical ids, source order
-  std::vector<u32> sz;                    ///< [1..n] subtree size
-  std::vector<u64> krSumLeft;             ///< [1..n] keyroot relevant-forest sum, left paths
-  std::vector<u64> krSumRight;            ///< [1..n] keyroot relevant-forest sum, right paths
-  std::vector<u64> fp;                    ///< [1..n] Merkle subtree fingerprint (canonical order)
+  OrientIndex left;              ///< canonical orientation (toCanon = identity)
+  OrientIndex right;             ///< mirrored child order
+  std::vector<u32> canonToRight; ///< [1..n] canonical -> right post-order position
+  std::vector<u32> parent;       ///< [1..n] canonical parent (0 for the root)
+  std::vector<u32> childStart;   ///< [1..n+1] offsets into childIds, one run per node
+  std::vector<u32> childIds;     ///< canonical child ids, per node in source order
+  std::vector<u32> sz;           ///< [1..n] subtree size
+  std::vector<u64> krSumLeft;    ///< [1..n] keyroot relevant-forest sum, left paths
+  std::vector<u64> krSumRight;   ///< [1..n] keyroot relevant-forest sum, right paths
+  std::vector<u64> fp;           ///< [1..n] Merkle subtree fingerprint (canonical order)
+
+  /// Canonical ids of v's children, source order.
+  [[nodiscard]] std::span<const u32> children(u32 v) const {
+    return {childIds.data() + childStart[v], childIds.data() + childStart[v + 1]};
+  }
 };
 
 /// Index `t` for the Apted pipeline. `intern` supplies label ids; both
@@ -125,7 +149,9 @@ struct Strategy {
 };
 
 /// The O(n1*n2) strategy DP over all subtree pairs, bottom-up in both
-/// trees. Structural only: independent of TedCosts.
+/// trees. Structural only: independent of TedCosts. Checks the pair
+/// against kMaxPairDpBytes (matrix plus the narrowest TD/FD a run needs)
+/// before allocating.
 [[nodiscard]] Strategy computeStrategy(const TreeIndex &a, const TreeIndex &b);
 
 /// Execution counters for one distance run, attributed per path kind so
@@ -144,6 +170,9 @@ struct RunCounters {
 /// With `cutoff > 0` the whole-tree kernel early-abandons per the
 /// TedOptions::cutoff contract and `run` returns exactly cutoff; pairs
 /// that complete return the exact distance (callers clamp).
+/// DP cells are u32 when 2 * (n1 + n2) * max(costs) fits in 32 bits (every
+/// forest distance and every jump sum then does), u64 otherwise; the pair
+/// is checked against kMaxPairDpBytes at that width before allocating.
 [[nodiscard]] u64 run(const TreeIndex &a, const TreeIndex &b, const Strategy &strategy,
                       const TedCosts &costs, bool reuseBlocks, RunCounters *counters,
                       u64 cutoff = 0);

@@ -3,6 +3,8 @@
 // acceptance — and the pipeline must be bit-for-bit deterministic.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <random>
 
 #include "corpus/corpus.hpp"
@@ -15,6 +17,7 @@
 #include "support/compress.hpp"
 #include "support/msgpack.hpp"
 #include "tree/ted.hpp"
+#include "tree/tedengine.hpp"
 #include "vm/vm.hpp"
 
 using namespace sv;
@@ -302,6 +305,47 @@ TEST(FailureInjection, NestingAtTheLimitRunsEveryTier) {
     const auto report = silvervale::lintCodebase(cb, all);
     EXPECT_EQ(report.units.size(), 1u) << cb.commands[0].file;
   }
+}
+
+TEST(FailureInjection, GiantTedPairFailsBeforeAllocating) {
+  // Two ~200k-node chains ask for a 4e10-cell DP (~360 GB at u32 cells).
+  // Every TED path refuses the pair with a diagnostic before allocating any
+  // of it: the process's peak RSS grows by less than the ceiling.
+  const auto chain = [](usize n, const std::string &label) {
+    auto t = tree::Tree::leaf(label);
+    for (tree::NodeId id = 0; id + 1 < n; ++id) t.addChild(id, label);
+    return t;
+  };
+  const auto a = chain(200000, "a");
+  const auto b = chain(200001, "b");
+  const auto peakRssKb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+  };
+  const long before = peakRssKb();
+  tree::TedEngine engine;
+  const auto expectRefused = [&](const std::function<u64()> &dp, const char *path) {
+    try {
+      (void)dp();
+      ADD_FAILURE() << path << " accepted the pair";
+    } catch (const std::runtime_error &e) {
+      const std::string what = e.what();
+      // The engine runs the pair in its memo's canonical order.
+      EXPECT_TRUE(what.find("200000 x 200001") != std::string::npos ||
+                  what.find("200001 x 200000") != std::string::npos)
+          << path << ": " << what;
+      EXPECT_NE(what.find(std::to_string(tree::kMaxPairDpBytes)), std::string::npos)
+          << path << ": " << what;
+    }
+  };
+  expectRefused([&] { return tree::ted(a, b, {tree::TedAlgo::Apted, {}}); }, "uncached Apted");
+  expectRefused([&] { return tree::ted(a, b, {tree::TedAlgo::ZhangShasha, {}}); },
+                "Zhang-Shasha");
+  expectRefused([&] { return engine.ted(a, b); }, "engine");
+  // Indexing the chains takes memory (more under sanitizers); the DP's
+  // tables would take hundreds of times the ceiling.
+  EXPECT_LT(static_cast<u64>(peakRssKb() - before), tree::kMaxPairDpBytes / 1024) << "KiB";
 }
 
 // ----------------------------------------------------------- determinism ---

@@ -5,72 +5,16 @@
 // the distance at the heart of TBMD.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 
+#include "bruteforce.hpp"
 #include "tree/ted.hpp"
 
 using namespace sv;
 using namespace sv::tree;
+using sv::tree::oracle::bruteTed;
 
 namespace {
-
-/// A forest is an ordered list of subtree roots of one tree.
-using Forest = std::vector<NodeId>;
-
-struct BruteForce {
-  const Tree &a;
-  const Tree &b;
-  std::map<std::pair<Forest, Forest>, u64> memo;
-
-  u64 forestSize(const Tree &t, const Forest &f) {
-    u64 n = 0;
-    for (const NodeId r : f) {
-      n += 1;
-      n += forestSize(t, t.node(r).children);
-    }
-    return n;
-  }
-
-  /// Classic recurrence on (forest, forest): operate on the *rightmost*
-  /// root of either forest.
-  u64 dist(const Forest &fa, const Forest &fb) {
-    if (fa.empty() && fb.empty()) return 0;
-    const auto key = std::make_pair(fa, fb);
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
-    u64 best;
-    if (fa.empty()) {
-      // insert everything remaining in fb
-      best = forestSize(b, fb);
-    } else if (fb.empty()) {
-      best = forestSize(a, fa);
-    } else {
-      const NodeId ra = fa.back();
-      const NodeId rb = fb.back();
-      // delete ra: its children join the forest.
-      Forest faDel(fa.begin(), fa.end() - 1);
-      faDel.insert(faDel.end(), a.node(ra).children.begin(), a.node(ra).children.end());
-      best = dist(faDel, fb) + 1;
-      // insert rb
-      Forest fbIns(fb.begin(), fb.end() - 1);
-      fbIns.insert(fbIns.end(), b.node(rb).children.begin(), b.node(rb).children.end());
-      best = std::min(best, dist(fa, fbIns) + 1);
-      // match ra with rb: subtree-vs-subtree plus remainder-vs-remainder.
-      Forest faRest(fa.begin(), fa.end() - 1);
-      Forest fbRest(fb.begin(), fb.end() - 1);
-      const u64 rename = a.node(ra).label == b.node(rb).label ? 0 : 1;
-      best = std::min(best, dist(faRest, fbRest) +
-                                dist(a.node(ra).children, b.node(rb).children) + rename);
-    }
-    memo.emplace(key, best);
-    return best;
-  }
-};
-
-u64 bruteTed(const Tree &a, const Tree &b) {
-  BruteForce bf{a, b, {}};
-  return bf.dist({0}, {0});
-}
 
 Tree randomSmallTree(std::mt19937 &rng, usize maxNodes) {
   static const char *labels[] = {"a", "b", "c"};

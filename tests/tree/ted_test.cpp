@@ -4,10 +4,16 @@
 #include <string>
 #include <unordered_map>
 
+#include "bruteforce.hpp"
 #include "tree/ted.hpp"
+#include "tree/tedengine.hpp"
+#include "tree/tedseam.hpp"
 
 using namespace sv;
 using namespace sv::tree;
+using apted::seam::Isa;
+using apted::seam::ScopedIsa;
+using oracle::bruteTed;
 
 namespace {
 
@@ -156,34 +162,38 @@ TEST(Ted, RenameCostRespected) {
 // and metric axioms must hold under unit costs.
 class TedPropertySweep : public ::testing::TestWithParam<u32> {};
 
+// Every Apted distance runs under both kernel ISA variants.
 TEST_P(TedPropertySweep, AlgorithmsAgreeAndAxiomsHold) {
   const u32 seed = GetParam();
   std::mt19937 rng(seed);
   const auto a = randomTree(seed * 2 + 1, 10 + rng() % 60);
   const auto b = randomTree(seed * 2 + 2, 10 + rng() % 60);
   const auto c = randomTree(seed * 2 + 3, 10 + rng() % 60);
+  for (const Isa isa : {Isa::Native, Isa::Baseline}) {
+    const ScopedIsa scoped(isa);
 
-  const u64 ab = tedZS(a, b);
-  EXPECT_EQ(ab, tedAP(a, b)) << "seed=" << seed;
+    const u64 ab = tedZS(a, b);
+    EXPECT_EQ(ab, tedAP(a, b)) << "seed=" << seed;
 
-  // Identity of indiscernibles (one direction) and symmetry.
-  EXPECT_EQ(tedZS(a, a), 0u);
-  EXPECT_EQ(ab, tedZS(b, a));
-  EXPECT_EQ(ab, tedAP(b, a)) << "seed=" << seed;
+    // Identity of indiscernibles (one direction) and symmetry.
+    EXPECT_EQ(tedZS(a, a), 0u);
+    EXPECT_EQ(ab, tedZS(b, a));
+    EXPECT_EQ(ab, tedAP(b, a)) << "seed=" << seed;
 
-  // Triangle inequality.
-  const u64 bc = tedZS(b, c);
-  const u64 ac = tedZS(a, c);
-  EXPECT_LE(ac, ab + bc) << "seed=" << seed;
+    // Triangle inequality.
+    const u64 bc = tedZS(b, c);
+    const u64 ac = tedZS(a, c);
+    EXPECT_LE(ac, ab + bc) << "seed=" << seed;
 
-  // Mirror invariance: reversing sibling order in both trees preserves the
-  // distance (the right-path kernels rely on exactly this symmetry).
-  EXPECT_EQ(ab, tedAP(mirrored(a), mirrored(b))) << "seed=" << seed;
+    // Mirror invariance: reversing sibling order in both trees preserves the
+    // distance (the right-path kernels rely on exactly this symmetry).
+    EXPECT_EQ(ab, tedAP(mirrored(a), mirrored(b))) << "seed=" << seed;
 
-  // Injective relabel invariance: a bijection on the label alphabet leaves
-  // every equal/unequal comparison, hence the distance, unchanged.
-  const auto tag = [](const std::string &s) { return s + "#t"; };
-  EXPECT_EQ(ab, tedAP(a.relabel(tag), b.relabel(tag))) << "seed=" << seed;
+    // Injective relabel invariance: a bijection on the label alphabet leaves
+    // every equal/unequal comparison, hence the distance, unchanged.
+    const auto tag = [](const std::string &s) { return s + "#t"; };
+    EXPECT_EQ(ab, tedAP(a.relabel(tag), b.relabel(tag))) << "seed=" << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPairs, TedPropertySweep, ::testing::Range(0u, 24u));
@@ -257,4 +267,115 @@ TEST(Ted, RunCountersMatchStrategyCost) {
   EXPECT_EQ(rc.subproblems[0] + rc.subproblems[1] + rc.subproblems[2] + rc.subproblems[3],
             strat.cost);
   EXPECT_EQ(rc.blockHits, 0u);
+}
+
+// ---------------------------------------------------------- cell width ---
+
+namespace {
+
+/// Costs near 2^31: every DP value overflows 32 bits, so `run` must pick
+/// u64 cells for any pair.
+TedCosts wideCosts(u32 seed) {
+  return {0x7FFFFFF0u + seed, 0x80000007u - seed, 0x7FFFFFFFu + (seed % 3)};
+}
+
+/// The largest uniform cost at which an (n1 + n2)-node pair still runs on
+/// u32 cells: 2 * (n1 + n2) * cost <= 2^32 - 1.
+u32 largestNarrowCost(usize n1, usize n2) {
+  return static_cast<u32>(u64{0xFFFFFFFFu} / (2 * (n1 + n2)));
+}
+
+} // namespace
+
+TEST(TedCellWidth, WideCostsForceU64AndMatchZhangShasha) {
+  for (u32 seed = 0; seed < 8; ++seed) {
+    std::mt19937 rng(seed);
+    const auto a = randomTree(seed * 2 + 201, 30 + rng() % 31);
+    const auto b = randomTree(seed * 2 + 202, 30 + rng() % 31);
+    const TedCosts costs = wideCosts(seed);
+    ASSERT_EQ(apted::seam::cellBytes(a.size(), b.size(), costs), 8u);
+    const u64 zs = ted(a, b, {TedAlgo::ZhangShasha, costs});
+    EXPECT_GT(zs, u64{0xFFFFFFFFu}) << "seed=" << seed;
+    EXPECT_EQ(ted(a, b, {TedAlgo::Apted, costs}), zs) << "seed=" << seed;
+    TedEngine engine;
+    EXPECT_EQ(engine.ted(a, b, {TedAlgo::Apted, costs}), zs) << "seed=" << seed;
+
+    // Small pairs: both algorithms against the brute force.
+    const auto sa = randomTree(seed * 2 + 301, 2 + rng() % 7);
+    const auto sb = randomTree(seed * 2 + 302, 2 + rng() % 7);
+    const u64 truth = bruteTed(sa, sb, costs);
+    EXPECT_EQ(ted(sa, sb, {TedAlgo::ZhangShasha, costs}), truth) << "seed=" << seed;
+    EXPECT_EQ(ted(sa, sb, {TedAlgo::Apted, costs}), truth) << "seed=" << seed;
+  }
+}
+
+TEST(TedCellWidth, PairsAtTheNarrowWideCut) {
+  // The same pair one cost step either side of the u32/u64 cut: the
+  // narrow side's sums reach right up to 2^32 - 1.
+  for (const auto &[na, nb] : {std::pair<usize, usize>{40, 55}, {7, 8}}) {
+    const auto a = randomTree(static_cast<u32>(na) + 401, na);
+    const auto b = randomTree(static_cast<u32>(nb) + 402, nb);
+    const u32 cut = largestNarrowCost(na, nb);
+    for (const u32 c : {cut, cut + 1}) {
+      const TedCosts costs{c, c, c};
+      EXPECT_EQ(apted::seam::cellBytes(na, nb, costs), c == cut ? 4u : 8u);
+      const u64 zs = ted(a, b, {TedAlgo::ZhangShasha, costs});
+      EXPECT_EQ(ted(a, b, {TedAlgo::Apted, costs}), zs) << na << "x" << nb << " cost=" << c;
+      if (na <= 8 && nb <= 8) {
+        EXPECT_EQ(bruteTed(a, b, costs), zs) << "cost=" << c;
+      }
+    }
+    // One operation past the cut is enough to widen.
+    EXPECT_EQ(apted::seam::cellBytes(na, nb, {cut, cut, cut + 1}), 8u);
+  }
+}
+
+TEST(TedCellWidth, CutoffAbandonIsExactAtBothWidths) {
+  for (const TedCosts &costs : {TedCosts{}, wideCosts(1)}) {
+    u64 abandoned = 0;
+    for (u32 seed = 0; seed < 6; ++seed) {
+      std::mt19937 rng(seed);
+      const auto a = randomTree(seed * 2 + 501, 30 + rng() % 31);
+      const auto b = randomTree(seed * 2 + 502, 30 + rng() % 31);
+      const u64 exact = ted(a, b, {TedAlgo::ZhangShasha, costs});
+      for (const u64 cutoff : {u64{1}, exact / 2, exact - 1, exact, exact + 1, 2 * exact}) {
+        const u64 want = std::min(exact, cutoff);
+        const TedOptions opts{TedAlgo::Apted, costs, true, cutoff};
+        EXPECT_EQ(ted(a, b, opts), want) << "seed=" << seed << " cutoff=" << cutoff;
+        TedEngine engine; // fresh: no memo entry answers for the DP
+        EXPECT_EQ(engine.ted(a, b, opts), want) << "seed=" << seed << " cutoff=" << cutoff;
+        if (cutoff < exact) abandoned += engine.stats().prunedByCutoff;
+      }
+    }
+    // The kernel's own abandon ran (not only the signature bound).
+    EXPECT_GT(abandoned, 0u) << "cell bytes " << apted::seam::cellBytes(45, 45, costs);
+  }
+}
+
+TEST(TedKernelIsa, BaselineMatchesNativeCellForCell) {
+  std::unordered_map<std::string, u32> ids;
+  const auto intern = [&ids](const std::string &s) {
+    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
+  };
+  for (const TedCosts &costs : {TedCosts{}, TedCosts{2, 3, 4}, wideCosts(2)}) {
+    for (u32 seed = 0; seed < 6; ++seed) {
+      std::mt19937 rng(seed);
+      const auto a = randomTree(seed * 2 + 601, 10 + rng() % 70);
+      const auto b = randomTree(seed * 2 + 602, 10 + rng() % 70);
+      const auto ia = apted::buildIndex(a, intern);
+      const auto ib = apted::buildIndex(b, intern);
+      std::vector<u64> native, baseline;
+      {
+        const ScopedIsa scoped(Isa::Native);
+        native = apted::seam::tdTable(ia, ib, costs);
+      }
+      {
+        const ScopedIsa scoped(Isa::Baseline);
+        baseline = apted::seam::tdTable(ia, ib, costs);
+      }
+      ASSERT_EQ(native.size(), (a.size() + 1) * (b.size() + 1));
+      EXPECT_EQ(native, baseline) << "seed=" << seed;
+      EXPECT_EQ(native.back(), ted(a, b, {TedAlgo::ZhangShasha, costs})) << "seed=" << seed;
+    }
+  }
 }

@@ -9,6 +9,7 @@
 
 #include "support/parallel.hpp"
 #include "tree/tedengine.hpp"
+#include "tree/tedseam.hpp"
 
 using namespace sv;
 using namespace sv::tree;
@@ -66,14 +67,19 @@ TEST(TedEngine, StructurallyIdenticalTreesShareOneView) {
 }
 
 TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
-  TedEngine engine;
-  for (u32 seed = 0; seed < 20; ++seed) {
-    std::mt19937 rng(seed);
-    const auto a = randomTree(seed * 2 + 1, 10 + rng() % 60);
-    const auto b = randomTree(seed * 2 + 2, 10 + rng() % 60);
-    const u64 cached = engine.ted(a, b);
-    EXPECT_EQ(cached, ted(a, b)) << "seed=" << seed;
-    EXPECT_EQ(cached, ted(a, b, TedOptions{TedAlgo::ZhangShasha, {}})) << "seed=" << seed;
+  // Under both kernel ISA variants, each with its own engine so no memo
+  // entry of the other variant answers.
+  for (const auto isa : {apted::seam::Isa::Native, apted::seam::Isa::Baseline}) {
+    const apted::seam::ScopedIsa scoped(isa);
+    TedEngine engine;
+    for (u32 seed = 0; seed < 20; ++seed) {
+      std::mt19937 rng(seed);
+      const auto a = randomTree(seed * 2 + 1, 10 + rng() % 60);
+      const auto b = randomTree(seed * 2 + 2, 10 + rng() % 60);
+      const u64 cached = engine.ted(a, b);
+      EXPECT_EQ(cached, ted(a, b)) << "seed=" << seed;
+      EXPECT_EQ(cached, ted(a, b, TedOptions{TedAlgo::ZhangShasha, {}})) << "seed=" << seed;
+    }
   }
 }
 
