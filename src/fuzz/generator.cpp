@@ -745,10 +745,10 @@ struct FGen : Gen {
         const char t = "idb"[rng.below(3)];
         const std::string name = fresh("v");
         declVar(t, name);
-        declare(name, t);
         if (t == 'i') emit(name + " = " + wrappedIntRhs());
         else if (t == 'd') emit(name + " = " + doubleExpr(2).text);
         else emit(name + " = " + boolExpr(1).text);
+        declare(name, t); // visible once set: the rhs above must not read it
       } else if (roll < 5) assignStmt();
       else if (roll == 5) printStmt();
       else if (roll == 6 && depth > 0) ifStmt(depth);
@@ -774,8 +774,8 @@ struct FGen : Gen {
     }
     const std::string t0 = fresh("t");
     emit("real(8) :: " + t0);
-    declare(t0, 'd');
     emit(t0 + " = " + doubleExpr(2).text);
+    declare(t0, 'd'); // visible once set: the rhs above must not read it
     if (rng.chance(50)) emit("if (" + boolExpr(1).text + ") " + t0 + " = " + doubleExpr(1).text);
     emit("p0 = " + t0 + " + " + doubleExpr(1).text);
     pop();

@@ -1,7 +1,6 @@
 #include "metrics/query.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "support/parallel.hpp"
 #include "tree/tedengine.hpp"
@@ -55,75 +54,100 @@ private:
   std::vector<Neighbor> best_;
 };
 
-void countOutcome(QueryStats *stats, FilterOutcome outcome) {
-  if (!stats) return;
-  switch (outcome) {
-  case FilterOutcome::Exact: ++stats->exact; break;
-  case FilterOutcome::PrunedByBound: ++stats->prunedByBound; break;
-  case FilterOutcome::PrunedByCutoff: ++stats->prunedByCutoff; break;
+/// One query against a corpus: every candidate's bounds built once when the
+/// metric filters, exact diverge() otherwise.
+struct Search {
+  const db::CodebaseDb &query;
+  const std::vector<const db::CodebaseDb *> &corpus;
+  Metric metric;
+  Variant variant;
+  const tree::TedOptions &ted;
+  const MatchOptions &match;
+  std::vector<CandidateBounds> bounds{}; ///< per candidate; empty when not filterable
+
+  void buildBounds() {
+    if (!filterable(metric, variant)) return;
+    bounds.reserve(corpus.size());
+    for (const auto *c : corpus)
+      bounds.push_back(candidateBounds(query, *c, metric, variant, ted.costs, match));
   }
-}
+
+  [[nodiscard]] u64 lowerBound(usize i) const {
+    return bounds.empty() ? 0 : bounds[i].lowerBound;
+  }
+
+  [[nodiscard]] BoundedDivergence evaluate(usize i, u64 cutoff) const {
+    if (bounds.empty())
+      return {diverge(query, *corpus[i], metric, variant, ted, match), FilterOutcome::Exact};
+    return divergeBounded(bounds[i], ted, cutoff);
+  }
+};
 
 } // namespace
+
+CandidateBounds candidateBounds(const db::CodebaseDb &c1, const db::CodebaseDb &c2,
+                                Metric metric, Variant variant, const tree::TedCosts &costs,
+                                const MatchOptions &match) {
+  SV_CHECK(filterable(metric, variant), "candidateBounds: metric has no usable signatures");
+  CandidateBounds out;
+  out.metric = metric;
+  out.variant = variant;
+  Divergence &base = out.base;
+  for (const auto &[u1, u2] : matchUnits(c1, c2, match)) {
+    if (!u1) {
+      const u64 n2 = metricSignature(*u2, metric, variant).n;
+      base.distance += n2;
+      base.dmaxEq7 += n2;
+      base.dmaxSym += n2;
+      ++base.unmatchedUnits;
+      continue;
+    }
+    if (!u2) {
+      const u64 n1 = metricSignature(*u1, metric, variant).n;
+      base.distance += n1;
+      base.dmaxSym += n1;
+      ++base.unmatchedUnits;
+      continue;
+    }
+    const auto &s1 = metricSignature(*u1, metric, variant);
+    const auto &s2 = metricSignature(*u2, metric, variant);
+    base.dmaxEq7 += s2.n;
+    base.dmaxSym += s1.n + s2.n;
+    ++base.matchedUnits;
+    const u64 lb = tree::tedLowerBound(s1, s2, costs);
+    out.pairs.push_back({u1, u2, lb});
+    out.lowerBound += lb;
+  }
+  out.lowerBound += base.distance;
+  return out;
+}
 
 u64 divergenceLowerBound(const db::CodebaseDb &c1, const db::CodebaseDb &c2, Metric metric,
                          Variant variant, const tree::TedCosts &costs,
                          const MatchOptions &match) {
   if (!filterable(metric, variant)) return 0;
-  u64 lb = 0;
-  for (const auto &[u1, u2] : matchUnits(c1, c2, match)) {
-    if (!u1) {
-      lb += metricSignature(*u2, metric, variant).n;
-      continue;
-    }
-    if (!u2) {
-      lb += metricSignature(*u1, metric, variant).n;
-      continue;
-    }
-    lb += tree::tedLowerBound(metricSignature(*u1, metric, variant),
-                              metricSignature(*u2, metric, variant), costs);
-  }
-  return lb;
+  return candidateBounds(c1, c2, metric, variant, costs, match).lowerBound;
 }
 
 BoundedDivergence divergeBounded(const db::CodebaseDb &c1, const db::CodebaseDb &c2,
                                  Metric metric, Variant variant, const tree::TedOptions &ted,
                                  const MatchOptions &match, u64 cutoff) {
-  if (cutoff == 0 || !filterable(metric, variant))
+  if (!filterable(metric, variant))
     return {diverge(c1, c2, metric, variant, ted, match), FilterOutcome::Exact};
+  return divergeBounded(candidateBounds(c1, c2, metric, variant, ted.costs, match), ted, cutoff);
+}
 
-  struct MatchedPair {
-    const db::UnitEntry *u1 = nullptr;
-    const db::UnitEntry *u2 = nullptr;
-    u64 lb = 0;
+BoundedDivergence divergeBounded(const CandidateBounds &bounds, const tree::TedOptions &ted,
+                                 u64 cutoff) {
+  using Pair = CandidateBounds::Pair;
+  Divergence acc = bounds.base; // exact contributions only; normalisers always exact
+  const auto pairTed = [&](const Pair &p, const tree::TedOptions &opts) {
+    return tree::tedDispatch(metricTree(*p.u1, bounds.metric, bounds.variant),
+                             metricTree(*p.u2, bounds.metric, bounds.variant), opts);
   };
-  Divergence acc; // exact contributions only; normalisers always exact
-  std::vector<MatchedPair> pairs;
-  u64 sumLb = 0;
-  for (const auto &[u1, u2] : matchUnits(c1, c2, match)) {
-    if (!u1) {
-      const u64 n2 = metricSignature(*u2, metric, variant).n;
-      acc.distance += n2;
-      acc.dmaxEq7 += n2;
-      acc.dmaxSym += n2;
-      ++acc.unmatchedUnits;
-      continue;
-    }
-    if (!u2) {
-      const u64 n1 = metricSignature(*u1, metric, variant).n;
-      acc.distance += n1;
-      acc.dmaxSym += n1;
-      ++acc.unmatchedUnits;
-      continue;
-    }
-    const auto &s1 = metricSignature(*u1, metric, variant);
-    const auto &s2 = metricSignature(*u2, metric, variant);
-    acc.dmaxEq7 += s2.n;
-    acc.dmaxSym += s1.n + s2.n;
-    ++acc.matchedUnits;
-    const u64 lb = tree::tedLowerBound(s1, s2, ted.costs);
-    pairs.push_back({u1, u2, lb});
-    sumLb += lb;
+  if (cutoff == 0) { // exact, in diverge()'s pair order
+    for (const auto &p : bounds.pairs) acc.distance += pairTed(p, ted);
+    return {acc, FilterOutcome::Exact};
   }
 
   const auto pruned = [&](FilterOutcome outcome) {
@@ -131,21 +155,22 @@ BoundedDivergence divergeBounded(const db::CodebaseDb &c1, const db::CodebaseDb 
     out.divergence.distance = cutoff; // the true distance is >= cutoff
     return out;
   };
-  if (acc.distance + sumLb >= cutoff) return pruned(FilterOutcome::PrunedByBound);
+  // The filter: the one place a lower bound settles an evaluation unrun.
+  if (bounds.lowerBound >= cutoff) return pruned(FilterOutcome::PrunedByBound);
 
   // Refine biggest bound first: the pairs most likely to blow the budget
   // run while the budget is still loose enough to abandon them early.
+  auto pairs = bounds.pairs;
   std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const MatchedPair &a, const MatchedPair &b) { return a.lb > b.lb; });
-  u64 remaining = sumLb;
+                   [](const Pair &a, const Pair &b) { return a.lb > b.lb; });
+  u64 remaining = bounds.lowerBound - acc.distance;
   for (const auto &p : pairs) {
     remaining -= p.lb;
     // > p.lb by the invariant acc + remaining-before-this-pair < cutoff.
     const u64 budget = cutoff - acc.distance - remaining;
     auto opts = ted;
     opts.cutoff = budget;
-    acc.distance += tree::tedDispatch(metricTree(*p.u1, metric, variant),
-                                      metricTree(*p.u2, metric, variant), opts);
+    acc.distance += pairTed(p, opts);
     if (acc.distance + remaining >= cutoff) return pruned(FilterOutcome::PrunedByCutoff);
   }
   return {acc, FilterOutcome::Exact};
@@ -156,25 +181,20 @@ std::vector<Neighbor> topKDivergence(const db::CodebaseDb &query,
                                      Metric metric, Variant variant, const tree::TedOptions &ted,
                                      const MatchOptions &match, QueryStats *stats) {
   if (k == 0 || corpus.empty()) return {};
+  Search search{query, corpus, metric, variant, ted, match};
+  search.buildBounds();
 
   // Filter order: cheapest-looking candidates first, so the cutoff tightens
   // as fast as possible.
   std::vector<std::pair<u64, usize>> order;
   order.reserve(corpus.size());
-  for (usize i = 0; i < corpus.size(); ++i)
-    order.push_back({divergenceLowerBound(query, *corpus[i], metric, variant, ted.costs, match), i});
+  for (usize i = 0; i < corpus.size(); ++i) order.push_back({search.lowerBound(i), i});
   std::sort(order.begin(), order.end());
 
   TopKPool pool(k);
   for (const auto &[lb, i] : order) {
-    if (stats) ++stats->candidates;
-    const u64 cut = pool.cutoff();
-    if (cut > 0 && lb >= cut) {
-      if (stats) ++stats->prunedByBound;
-      continue;
-    }
-    const auto bd = divergeBounded(query, *corpus[i], metric, variant, ted, match, cut);
-    countOutcome(stats, bd.outcome);
+    const auto bd = search.evaluate(i, pool.cutoff());
+    if (stats) stats->count(bd.outcome);
     if (bd.outcome != FilterOutcome::Exact) continue;
     pool.offer({i, bd.divergence.distance, bd.divergence.normalised()});
   }
@@ -189,54 +209,17 @@ std::vector<Neighbor> rangeDivergence(const db::CodebaseDb &query,
   // Exact for every distance <= radius. No cutoff exceeds UINT64_MAX, and
   // every distance is within it, so that radius evaluates all exactly.
   const u64 cut = radius == ~u64{0} ? 0 : radius + 1;
+  Search search{query, corpus, metric, variant, ted, match};
+  search.buildBounds();
   std::vector<Neighbor> out;
   for (usize i = 0; i < corpus.size(); ++i) {
-    if (stats) ++stats->candidates;
-    if (cut > 0 &&
-        divergenceLowerBound(query, *corpus[i], metric, variant, ted.costs, match) >= cut) {
-      if (stats) ++stats->prunedByBound;
-      continue;
-    }
-    const auto bd = divergeBounded(query, *corpus[i], metric, variant, ted, match, cut);
-    countOutcome(stats, bd.outcome);
+    const auto bd = search.evaluate(i, cut);
+    if (stats) stats->count(bd.outcome);
     if (bd.outcome != FilterOutcome::Exact) continue;
     out.push_back({i, bd.divergence.distance, bd.divergence.normalised()});
   }
   std::sort(out.begin(), out.end(), neighborLess);
   return out;
-}
-
-std::vector<Neighbor> topKTrees(const tree::Tree &query, const std::vector<tree::Tree> &corpus,
-                                usize k, const tree::TedOptions &ted, QueryStats *stats) {
-  if (k == 0 || corpus.empty()) return {};
-  const auto qsig = tree::boundSignature(query);
-
-  std::vector<std::pair<u64, usize>> order;
-  order.reserve(corpus.size());
-  for (usize i = 0; i < corpus.size(); ++i)
-    order.push_back({tree::tedLowerBound(qsig, tree::boundSignature(corpus[i]), ted.costs), i});
-  std::sort(order.begin(), order.end());
-
-  TopKPool pool(k);
-  for (const auto &[lb, i] : order) {
-    if (stats) ++stats->candidates;
-    const u64 cut = pool.cutoff();
-    if (cut > 0 && lb >= cut) {
-      if (stats) ++stats->prunedByBound;
-      continue;
-    }
-    auto opts = ted;
-    opts.cutoff = cut;
-    const u64 d = tree::tedDispatch(query, corpus[i], opts);
-    if (cut > 0 && d >= cut) {
-      if (stats) ++stats->prunedByCutoff;
-      continue;
-    }
-    if (stats) ++stats->exact;
-    const u64 dmax = query.size() + corpus[i].size();
-    pool.offer({i, d, dmax == 0 ? 0.0 : static_cast<double>(d) / static_cast<double>(dmax)});
-  }
-  return std::move(pool).sorted();
 }
 
 std::vector<u64> treeDistanceMatrix(const std::vector<tree::Tree> &corpus,
@@ -254,32 +237,24 @@ std::vector<u64> treeDistanceMatrix(const std::vector<tree::Tree> &corpus,
   for (usize i = 0; i < n; ++i)
     for (usize j = i + 1; j < n; ++j) todo.emplace_back(static_cast<u32>(i), static_cast<u32>(j));
 
-  std::atomic<usize> prunedByBound{0}, prunedByCutoff{0}, exact{0};
+  std::vector<FilterOutcome> outcomes(todo.size(), FilterOutcome::Exact);
   const auto comparePair = [&](usize p) {
     const auto [i, j] = todo[p];
-    u64 v;
+    u64 v = cutoff;
     if (cutoff > 0 && tree::tedLowerBound(sigs[i], sigs[j], ted.costs) >= cutoff) {
-      v = cutoff;
-      prunedByBound.fetch_add(1, std::memory_order_relaxed);
+      outcomes[p] = FilterOutcome::PrunedByBound;
     } else {
       auto opts = ted;
       opts.cutoff = cutoff;
       v = tree::tedDispatch(corpus[i], corpus[j], opts);
-      if (cutoff > 0 && v >= cutoff)
-        prunedByCutoff.fetch_add(1, std::memory_order_relaxed);
-      else
-        exact.fetch_add(1, std::memory_order_relaxed);
+      if (cutoff > 0 && v >= cutoff) outcomes[p] = FilterOutcome::PrunedByCutoff;
     }
     values[static_cast<usize>(i) * n + j] = v;
     values[static_cast<usize>(j) * n + i] = v;
   };
   parallelFor(todo.size(), comparePair, 0, "tree-pairs");
-  if (stats) {
-    stats->candidates += todo.size();
-    stats->prunedByBound += prunedByBound.load();
-    stats->prunedByCutoff += prunedByCutoff.load();
-    stats->exact += exact.load();
-  }
+  if (stats)
+    for (const FilterOutcome o : outcomes) stats->count(o);
   return values;
 }
 

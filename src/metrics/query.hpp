@@ -40,6 +40,32 @@ struct BoundedDivergence {
   FilterOutcome outcome = FilterOutcome::Exact;
 };
 
+/// One candidate pair of codebases, assembled once from the persisted unit
+/// signatures: the exact unmatched contribution, the dmax normalisers and
+/// unit counts, and every matched unit pair with its admissible TED lower
+/// bound. Every bounded evaluation in the query layer (and portMatrix)
+/// starts from one; tree metrics without +coverage only. Borrows the units
+/// of c1 and c2.
+struct CandidateBounds {
+  struct Pair {
+    const db::UnitEntry *u1 = nullptr;
+    const db::UnitEntry *u2 = nullptr;
+    u64 lb = 0; ///< signature lower bound on this pair's TED
+  };
+  Metric metric = Metric::Tsem;
+  Variant variant;
+  /// Unmatched units' distance (exact); normalisers and unit counts complete.
+  Divergence base;
+  std::vector<Pair> pairs;   ///< matched pairs, in matchUnits order
+  u64 lowerBound = 0;        ///< base.distance + every pair's lb
+};
+
+[[nodiscard]] CandidateBounds candidateBounds(const db::CodebaseDb &c1,
+                                              const db::CodebaseDb &c2, Metric metric,
+                                              Variant variant = {},
+                                              const tree::TedCosts &costs = {},
+                                              const MatchOptions &match = {});
+
 /// Admissible lower bound on diverge(c1, c2, ...).distance from persisted
 /// unit signatures: summed per-pair TED bounds plus unmatched unit sizes.
 /// 0 (no filtering) for Source and the +coverage variant.
@@ -49,7 +75,8 @@ struct BoundedDivergence {
                                        const MatchOptions &match = {});
 
 /// diverge() with a total-distance budget. cutoff == 0 computes exactly.
-/// Otherwise matched pairs are refined in descending-lower-bound order,
+/// Otherwise a lower bound at the budget settles the evaluation with no
+/// DP; else matched pairs are refined in descending-lower-bound order,
 /// each unit TED runs with the remaining budget as its own TedOptions
 /// cutoff (any cutoff in `ted` is overridden), and the whole evaluation
 /// abandons as soon as the accumulated distance plus the remaining pairs'
@@ -58,6 +85,10 @@ struct BoundedDivergence {
                                                const db::CodebaseDb &c2, Metric metric,
                                                Variant variant, const tree::TedOptions &ted,
                                                const MatchOptions &match, u64 cutoff);
+
+/// The same evaluation from prebuilt bounds.
+[[nodiscard]] BoundedDivergence divergeBounded(const CandidateBounds &bounds,
+                                               const tree::TedOptions &ted, u64 cutoff);
 
 /// One query result; `index` points into the candidate corpus.
 struct Neighbor {
@@ -72,6 +103,24 @@ struct QueryStats {
   usize prunedByBound = 0;  ///< settled by the lower bound alone
   usize prunedByCutoff = 0; ///< abandoned mid-refinement
   usize exact = 0;          ///< refined to completion
+
+  /// One resolved candidate: counts it and its outcome.
+  void count(FilterOutcome outcome) {
+    ++candidates;
+    switch (outcome) {
+    case FilterOutcome::Exact: ++exact; break;
+    case FilterOutcome::PrunedByBound: ++prunedByBound; break;
+    case FilterOutcome::PrunedByCutoff: ++prunedByCutoff; break;
+    }
+  }
+
+  QueryStats &operator+=(const QueryStats &o) {
+    candidates += o.candidates;
+    prunedByBound += o.prunedByBound;
+    prunedByCutoff += o.prunedByCutoff;
+    exact += o.exact;
+    return *this;
+  }
 
   [[nodiscard]] double filterRate() const {
     const usize resolved = prunedByBound + prunedByCutoff + exact;
@@ -95,14 +144,6 @@ struct QueryStats {
     const db::CodebaseDb &query, const std::vector<const db::CodebaseDb *> &corpus, u64 radius,
     Metric metric, Variant variant = {}, const tree::TedOptions &ted = {},
     const MatchOptions &match = {}, QueryStats *stats = nullptr);
-
-/// Tree-level top-k (the fuzz-corpus path): same shrinking-cutoff scheme
-/// over raw TEDs, with signatures computed per call. `normalised` divides
-/// by |t1| + |t2|.
-[[nodiscard]] std::vector<Neighbor> topKTrees(const tree::Tree &query,
-                                              const std::vector<tree::Tree> &corpus, usize k,
-                                              const tree::TedOptions &ted = {},
-                                              QueryStats *stats = nullptr);
 
 /// Pairwise TED matrix over `corpus`, row-major n*n, parallelised over the
 /// upper triangle and mirrored (assumes symmetric del/ins costs, the

@@ -16,6 +16,11 @@ using lang::SourceManager;
 /// expander stops at this cap instead of exhausting memory.
 constexpr usize kMaxLineExpansion = usize{1} << 20;
 
+/// Largest preprocessed text one unit may produce. Each line is capped
+/// above, but thousands of sibling includes of an unguarded header still
+/// multiply; the corpus's largest unit is under 10 KiB.
+constexpr usize kMaxUnitOutput = usize{1} << 24;
+
 struct Macro {
   bool functionLike = false;
   std::vector<std::string> params;
@@ -47,6 +52,9 @@ private:
   }
 
   void emit(std::string line, i32 fileId, i32 lineNo) {
+    if (result_.text.size() + line.size() + 1 > kMaxUnitOutput)
+      fail(fileId, lineNo,
+           "preprocessed output exceeds " + std::to_string(kMaxUnitOutput) + " bytes");
     result_.text += line;
     result_.text += '\n';
     result_.lineOrigins.push_back(Location{fileId, lineNo, 1});

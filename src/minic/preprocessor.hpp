@@ -40,8 +40,8 @@ struct PreprocessResult {
 /// recorded in `missingIncludes` and skipped — mirroring how SilverVale
 /// masks system headers it does not index. Throws FrontendError on
 /// malformed directives, include cycles, includes nested deeper than
-/// lang::kMaxNesting, and a line whose macro expansion passes a fixed
-/// byte cap.
+/// lang::kMaxNesting, a line whose macro expansion passes a fixed byte
+/// cap, and a unit whose total output passes a second, larger one.
 [[nodiscard]] PreprocessResult preprocess(const lang::SourceManager &sm, i32 fileId,
                                           const PreprocessOptions &options = {});
 

@@ -1,7 +1,6 @@
 #include "silvervale/silvervale.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "ir/cost.hpp"
@@ -349,20 +348,6 @@ std::vector<CorpusPort> indexAllPorts(const IndexAppOptions &options) {
 
 namespace {
 
-/// dmaxSym of diverge(a, b, ...) computed from the persisted signatures
-/// alone (matched pairs contribute |T1| + |T2|, unmatched their size) — the
-/// normaliser is needed *before* the bounded evaluation to turn a
-/// normalised radius into a raw-distance cutoff. Tree metrics only.
-u64 symBoundRaw(const db::CodebaseDb &a, const db::CodebaseDb &b, metrics::Metric metric,
-                metrics::Variant variant) {
-  u64 s = 0;
-  for (const auto &[u1, u2] : metrics::matchUnits(a, b)) {
-    if (u1) s += metrics::metricSignature(*u1, metric, variant).n;
-    if (u2) s += metrics::metricSignature(*u2, metric, variant).n;
-  }
-  return s;
-}
-
 /// The shared matrix builder behind divergenceMatrix (radius = 0, exact)
 /// and portMatrix (radius-capped filter-and-refine). Entries are
 /// max(d(a,b), d(b,a)) normalised; with radius > 0, a direction whose
@@ -386,32 +371,24 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
   for (usize i = 0; i < n; ++i)
     for (usize j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   std::vector<double> results(pairs.size());
-  std::atomic<usize> prunedByBound{0}, prunedByCutoff{0}, exact{0}, candidates{0};
+  std::vector<metrics::QueryStats> pairStats(pairs.size());
 
   // A directed evaluation: exact when not filtering, else bounded with the
   // radius converted to a raw cutoff via this direction's dmaxSym. Returns
   // the normalised divergence, or `radius` exactly when pruned.
-  const auto directed = [&](usize from, usize to) {
+  const auto directed = [&](usize from, usize to, metrics::QueryStats &st) {
     if (!filter) {
       const auto d = metrics::diverge(*dbs[from], *dbs[to], metric, variant, ted);
       const double norm = d.normalised();
       return radius > 0 ? std::min(norm, radius) : norm;
     }
-    candidates.fetch_add(1, std::memory_order_relaxed);
-    const u64 dmax = symBoundRaw(*dbs[from], *dbs[to], metric, variant);
+    const auto bounds = metrics::candidateBounds(*dbs[from], *dbs[to], metric, variant, ted.costs);
     // Integer distances: d >= radius*dmax  <=>  d >= ceil(radius*dmax), so
     // pruning at this cutoff is exactly "normalised >= radius".
-    const u64 cut = static_cast<u64>(std::ceil(radius * static_cast<double>(dmax)));
-    const auto bd = metrics::divergeBounded(*dbs[from], *dbs[to], metric, variant, ted, {}, cut);
-    switch (bd.outcome) {
-    case metrics::FilterOutcome::Exact: exact.fetch_add(1, std::memory_order_relaxed); break;
-    case metrics::FilterOutcome::PrunedByBound:
-      prunedByBound.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case metrics::FilterOutcome::PrunedByCutoff:
-      prunedByCutoff.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
+    const u64 cut =
+        static_cast<u64>(std::ceil(radius * static_cast<double>(bounds.base.dmaxSym)));
+    const auto bd = metrics::divergeBounded(bounds, ted, cut);
+    st.count(bd.outcome);
     return bd.outcome == metrics::FilterOutcome::Exact ? bd.divergence.normalised() : radius;
   };
 
@@ -420,22 +397,17 @@ analysis::DistanceMatrix boundedMatrix(std::vector<std::string> labels,
   // symmetric pair memo; only the accounting differs.
   const auto pairBody = [&](usize p) {
     const auto [i, j] = pairs[p];
-    const double dij = directed(i, j);
+    const double dij = directed(i, j, pairStats[p]);
     if (filter && dij >= radius) {
       results[p] = radius; // the max over directions is already decided
       return;
     }
-    results[p] = std::max(dij, directed(j, i));
+    results[p] = std::max(dij, directed(j, i, pairStats[p]));
   };
   parallelFor(pairs.size(), pairBody, 0, "matrix-pairs");
-  for (usize p = 0; p < pairs.size(); ++p)
+  for (usize p = 0; p < pairs.size(); ++p) {
     m.set(pairs[p].first, pairs[p].second, results[p]);
-
-  if (stats) {
-    stats->candidates += candidates.load();
-    stats->prunedByBound += prunedByBound.load();
-    stats->prunedByCutoff += prunedByCutoff.load();
-    stats->exact += exact.load();
+    if (stats) *stats += pairStats[p];
   }
   return m;
 }

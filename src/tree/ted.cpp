@@ -5,8 +5,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "tree/tedbounds.hpp"
-
 namespace sv::tree {
 
 namespace {
@@ -161,14 +159,6 @@ void checkPairDp(usize n1, usize n2, u64 bytesPerCell) {
 }
 
 u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options) {
-  // Filter before the DP: in cutoff mode a signature lower bound already at
-  // the cutoff settles the answer (min(exact, cutoff) == cutoff) without
-  // building any view. Same check the engine runs, so both paths stay
-  // byte-identical.
-  if (options.cutoff > 0 &&
-      tedLowerBound(boundSignature(t1), boundSignature(t2), options.costs) >= options.cutoff)
-    return options.cutoff;
-
   PairInterner interner;
   if (options.algo == TedAlgo::Apted) {
     // Self-contained entry: index both trees against a per-call pair

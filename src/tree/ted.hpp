@@ -49,12 +49,12 @@ struct TedOptions {
   bool useCache = true;
   /// Early-abandon threshold. 0 (the default) computes the exact distance.
   /// With cutoff > 0 every TED entry point returns exactly
-  /// `min(exact, cutoff)`: pairs whose admissible lower bound (see
-  /// tree/tedbounds.hpp) already reaches the cutoff skip the DP entirely,
-  /// and the whole-tree forest DP abandons once every completion of the
-  /// current post-order prefix is provably >= cutoff. Deterministic and
-  /// identical between the engine and the uncached reference, because a
-  /// pair with exact < cutoff can never trip an admissible bound.
+  /// `min(exact, cutoff)`: the whole-tree forest DP abandons once every
+  /// completion of the current post-order prefix is provably >= cutoff.
+  /// Deterministic and identical between the engine and the uncached
+  /// reference. No entry point checks a signature bound (tree/tedbounds.hpp)
+  /// first; skipping a DP on a bound is the query layer's decision
+  /// (metrics/query.cpp).
   u64 cutoff = 0;
 };
 

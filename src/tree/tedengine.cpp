@@ -81,7 +81,7 @@ struct TedEngine::Impl {
   LabelInterner interner;
 
   mutable std::mutex viewMutex;
-  std::unordered_map<ViewKey, std::shared_ptr<const TreeViews>, ViewKeyHash> viewCache;
+  std::unordered_map<ViewKey, std::shared_ptr<const apted::TreeIndex>, ViewKeyHash> viewCache;
 
   mutable std::mutex memoMutex;
   std::unordered_map<PairKey, PairOutcome, PairKeyHash> memo;
@@ -93,7 +93,7 @@ struct TedEngine::Impl {
   std::atomic<u64> spfKernels[4]{0, 0, 0, 0};
   std::atomic<u64> spfSubproblems[4]{0, 0, 0, 0};
   std::atomic<u64> subtreeBlockHits{0};
-  std::atomic<u64> prunedByBound{0}, prunedByCutoff{0}, cutoffExact{0};
+  std::atomic<u64> prunedByCutoff{0}, cutoffExact{0};
 };
 
 TedEngine::TedEngine() : impl_(std::make_unique<Impl>()) {}
@@ -104,7 +104,7 @@ TedEngine &TedEngine::global() {
   return engine;
 }
 
-std::shared_ptr<const TreeViews> TedEngine::views(const Tree &t) {
+std::shared_ptr<const apted::TreeIndex> TedEngine::views(const Tree &t) {
   const ViewKey key{t.fingerprint(), t.size()};
   {
     std::lock_guard lock(impl_->viewMutex);
@@ -116,9 +116,8 @@ std::shared_ptr<const TreeViews> TedEngine::views(const Tree &t) {
   }
   // Build outside the lock: a racing builder of the same tree just produces
   // an equivalent view and the first insertion wins.
-  auto built = std::make_shared<const TreeViews>(TreeViews{
-      apted::buildIndex(t, [this](const std::string &s) { return impl_->interner.intern(s); }),
-      boundSignature(t)});
+  auto built = std::make_shared<const apted::TreeIndex>(
+      apted::buildIndex(t, [this](const std::string &s) { return impl_->interner.intern(s); }));
   impl_->viewMisses.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(impl_->viewMutex);
   return impl_->viewCache.emplace(key, std::move(built)).first->second;
@@ -136,8 +135,8 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
 
   const auto va = views(a);
   const auto vb = views(b);
-  const apted::TreeIndex &ia = va->index;
-  const apted::TreeIndex &ib = vb->index;
+  const apted::TreeIndex &ia = *va;
+  const apted::TreeIndex &ib = *vb;
 
   // Whole-tree equality: identical units (shared headers, unchanged
   // kernels) answer in the O(n) it took to fingerprint them.
@@ -165,12 +164,6 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
     }
   }
 
-  // Filter: the cached signature bound settles the pair without any DP
-  // when it reaches the cutoff (min(exact, cutoff) == cutoff).
-  if (cutoff > 0 && tedLowerBound(va->sig, vb->sig, costs) >= cutoff) {
-    impl_->prunedByBound.fetch_add(1, std::memory_order_relaxed);
-    return cutoff;
-  }
   impl_->memoMisses.fetch_add(1, std::memory_order_relaxed);
 
   // Refine. The DP always executes in the memo's canonical orientation:
@@ -218,7 +211,6 @@ EngineStats TedEngine::stats() const {
     s.spfSubproblems[k] = impl_->spfSubproblems[k].load();
   }
   s.subtreeBlockHits = impl_->subtreeBlockHits.load();
-  s.prunedByBound = impl_->prunedByBound.load();
   s.prunedByCutoff = impl_->prunedByCutoff.load();
   s.cutoffExact = impl_->cutoffExact.load();
   return s;
@@ -244,7 +236,6 @@ void TedEngine::clear() {
     impl_->spfSubproblems[k] = 0;
   }
   impl_->subtreeBlockHits = 0;
-  impl_->prunedByBound = 0;
   impl_->prunedByCutoff = 0;
   impl_->cutoffExact = 0;
 }

@@ -6,12 +6,11 @@
 //
 //  * a thread-safe global label interner (ids are append-only, so indices
 //    built at different times stay comparable);
-//  * a per-tree cached `TreeViews` — one `apted::TreeIndex` (both
-//    decomposition orientations, keyroot sums, Merkle subtree fingerprints)
-//    plus the lower-bound signature — built once and shared across all
-//    O(M^2 * U) comparisons. Views are keyed by (structural fingerprint,
-//    node count), so byte-identical trees (shared headers across model
-//    ports) share one view;
+//  * a per-tree cached view — one `apted::TreeIndex` (both decomposition
+//    orientations, keyroot sums, Merkle subtree fingerprints) — built once
+//    and shared across all O(M^2 * U) comparisons. Views are keyed by
+//    (structural fingerprint, node count), so byte-identical trees (shared
+//    headers across model ports) share one view;
 //  * an O(min(n1, n2)) whole-tree equality short-circuit (`ted == 0`);
 //  * a symmetric pair memo keyed on (fingerprint, fingerprint, costs):
 //    ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), so
@@ -27,9 +26,10 @@
 //    computed per run and dropped with it;
 //  * subtree-pair TD reuse inside one run: any repeated (fingerprint,
 //    fingerprint) subtree pair replays its TD rectangle;
-//  * cutoff mode (TedOptions::cutoff > 0): the cached signature lower
-//    bound (tree/tedbounds.hpp) answers `cutoff` outright when it reaches
-//    the threshold; otherwise the DP runs with in-kernel early abandon.
+//  * cutoff mode (TedOptions::cutoff > 0): a memo miss runs the DP with
+//    in-kernel early abandon. The engine checks no signature bound: the
+//    query layer (metrics/query.cpp) is the one place that skips a DP
+//    because a lower bound already reaches the cutoff.
 //
 // The engine runs Apted only. A TedAlgo::ZhangShasha request is forwarded
 // to the uncached `tree::ted()`, so the oracle never shares the engine's
@@ -41,21 +41,8 @@
 #include <memory>
 
 #include "tree/ted.hpp"
-#include "tree/tedbounds.hpp"
 
 namespace sv::tree {
-
-/// The cached structure of one tree, built once and shared between all
-/// pairs the tree participates in. `index.fp[index.n] == Tree::fingerprint()`
-/// for a non-empty tree.
-struct TreeViews {
-  /// Apted index (both orientations, canonical ids, keyroot sums, subtree
-  /// fingerprints), labelled through the engine's global interner.
-  apted::TreeIndex index;
-  /// Lower-bound signature (tree/tedbounds.hpp), cached with the index so
-  /// cutoff-mode prechecks are O(|sig|) merges on re-query, no tree walk.
-  BoundSignature sig;
-};
 
 /// Cache-effectiveness counters, exposed for tests and the ted bench.
 struct EngineStats {
@@ -72,7 +59,9 @@ struct EngineStats {
   u64 subtreeBlockHits = 0;    ///< Apted subtree-pair TD rectangles replayed
   // Cutoff-mode (TedOptions::cutoff > 0) outcome split. Every cutoff query
   // that is not a view shortcut or memo hit lands in exactly one bucket.
-  u64 prunedByBound = 0;  ///< signature lower bound reached the cutoff: no DP at all
+  /// Always 0: the engine runs no bound precheck (the query layer filters).
+  /// Kept so readers of the stats keep their field.
+  u64 prunedByBound = 0;
   u64 prunedByCutoff = 0; ///< DP resolved at the cutoff ceiling (abandoned, or exact == cutoff)
   u64 cutoffExact = 0;    ///< DP completed with an exact distance below the cutoff
 };
@@ -97,9 +86,12 @@ public:
   /// `tree::ted()` and touches no cache or counter.
   [[nodiscard]] u64 ted(const Tree &a, const Tree &b, const TedOptions &options = {});
 
-  /// The shared view of `t` (index and signature), building it on first use.
-  /// Keyed by (fingerprint, size): structurally identical trees share.
-  [[nodiscard]] std::shared_ptr<const TreeViews> views(const Tree &t);
+  /// The shared Apted index of `t` (both orientations, canonical ids,
+  /// keyroot sums, subtree fingerprints; labels through the engine's global
+  /// interner), building it on first use. Keyed by (fingerprint, size):
+  /// structurally identical trees share. `fp[n] == t.fingerprint()` for a
+  /// non-empty tree.
+  [[nodiscard]] std::shared_ptr<const apted::TreeIndex> views(const Tree &t);
 
   [[nodiscard]] EngineStats stats() const;
 

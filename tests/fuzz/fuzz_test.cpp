@@ -14,6 +14,7 @@
 #include "fuzz/reduce.hpp"
 #include "fuzz/rng.hpp"
 #include "ir/lower.hpp"
+#include "lint/lint.hpp"
 #include "minic/lexer.hpp"
 #include "minic/parser.hpp"
 #include "minic/preprocessor.hpp"
@@ -21,6 +22,7 @@
 #include "minif/flexer.hpp"
 #include "minif/fparser.hpp"
 #include "minif/ftrees.hpp"
+#include "silvervale/silvervale.hpp"
 
 using namespace sv;
 using namespace sv::fuzz;
@@ -73,6 +75,30 @@ TEST(Generator, ProgramsAreWellFormed) {
       EXPECT_TRUE(parses(p.source, lang))
           << langName(lang) << " seed " << seed << ":\n" << p.source;
     }
+}
+
+TEST(Generator, MiniFLocalsAreSetBeforeUse) {
+  // A generated MiniF local is assigned before any statement reads it, so
+  // the all-tier lint finds no uninitialised use (seed 1001 once emitted
+  // `t0 = t0 * p0`).
+  silvervale::LintOptions lint;
+  lint.ir = lint.deps = lint.range = true;
+  for (u64 seed = 1000; seed < 1300; ++seed) {
+    const auto p = gen(Lang::MiniF, seed);
+    db::Codebase cb;
+    cb.app = "fuzz";
+    cb.model = p.model;
+    cb.addFile(p.fileName, p.source);
+    db::CompileCommand cmd;
+    cmd.file = p.fileName;
+    cmd.args = {"cc", p.fileName};
+    if (p.model == "omp") cmd.args.push_back("-fopenmp");
+    cb.commands.push_back(std::move(cmd));
+    for (const auto &unit : silvervale::lintCodebase(cb, lint).units)
+      for (const auto &d : unit.diags)
+        EXPECT_FALSE(d.check == lint::Check::UninitUse && d.severity == lint::Severity::Error)
+            << "seed " << seed << ": " << d.message << "\n" << p.source;
+  }
 }
 
 TEST(Oracles, CleanOverGeneratedPrograms) {

@@ -289,6 +289,32 @@ TEST(FailureInjection, DeepIncludeChainIsAFrontendError) {
   EXPECT_THROW((void)silvervale::lintCodebase(chain(lang::kMaxNesting)), lang::FrontendError);
 }
 
+TEST(FailureInjection, SiblingIncludeBombIsAFrontendError) {
+  // One unguarded 64 KiB header included side by side: no line passes the
+  // per-line expansion cap and no include nests, yet each copy adds 64 KiB
+  // to the unit. 256 copies fill the 16 MiB total-output cap exactly; the
+  // first line of the 257th fails, located in the header.
+  std::string header;
+  for (int i = 0; i < 1024; ++i) header += std::string(63, 'x') + "\n";
+  const auto preprocessedBytes = [&header](int copies) {
+    lang::SourceManager sm;
+    sm.add("bomb.h", header);
+    std::string main;
+    for (int i = 0; i < copies; ++i) main += "#include \"bomb.h\"\n";
+    return minic::preprocess(sm, sm.add("main.cpp", main)).text.size();
+  };
+  EXPECT_EQ(preprocessedBytes(256), usize{16} << 20);
+  try {
+    (void)preprocessedBytes(257);
+    ADD_FAILURE() << "257 sibling includes were accepted";
+  } catch (const lang::FrontendError &e) {
+    EXPECT_EQ(e.where(), "bomb.h:1");
+    EXPECT_NE(std::string(e.what()).find("preprocessed output exceeds 16777216 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FailureInjection, NestingAtTheLimitRunsEveryTier) {
   // Exactly at the bound the input is accepted, and every later pass —
   // indexing (trees, signatures) and all four lint tiers — survives it.

@@ -202,35 +202,6 @@ TEST(Query, KMedoidsSanity) {
   EXPECT_DOUBLE_EQ(all.cost, 0.0);
 }
 
-TEST(Query, TopKTreesMatchesBruteForce) {
-  // Tree-level path (the fuzz-corpus route): same contract, raw TEDs.
-  std::vector<tree::Tree> corpus;
-  for (u32 s = 0; s < 10; ++s) {
-    auto t = tree::Tree::leaf("R");
-    for (u32 i = 0; i < 5 + s * 3; ++i)
-      t.addChild(i % (t.size()), "n" + std::to_string((i * 7 + s) % 4));
-    corpus.push_back(std::move(t));
-  }
-  const auto query = corpus[4];
-  QueryStats stats;
-  const auto fast = topKTrees(query, corpus, 4, {}, &stats);
-  std::vector<Neighbor> slow;
-  for (usize i = 0; i < corpus.size(); ++i) {
-    tree::TedOptions off;
-    off.useCache = false;
-    slow.push_back({i, tree::ted(query, corpus[i], off), 0});
-  }
-  std::sort(slow.begin(), slow.end(), [](const Neighbor &a, const Neighbor &b) {
-    return std::tie(a.distance, a.index) < std::tie(b.distance, b.index);
-  });
-  slow.resize(4);
-  ASSERT_EQ(fast.size(), 4u);
-  for (usize i = 0; i < 4; ++i) {
-    EXPECT_EQ(fast[i].index, slow[i].index);
-    EXPECT_EQ(fast[i].distance, slow[i].distance);
-  }
-}
-
 TEST(Query, TreeDistanceMatrixCutoffClampsAndIsSymmetric) {
   std::vector<tree::Tree> corpus;
   for (u32 s = 1; s <= 6; ++s) corpus.push_back([&] {

@@ -1,13 +1,17 @@
 // Determinism contract of the streaming runtime: the output of indexing,
-// matrices and lint/deps/range reports is byte-identical at any worker count. A 1-worker run is the reference, and
+// matrices, top-k/range queries and lint/deps/range reports is
+// byte-identical at any worker count. A 1-worker run is the reference, and
 // repeated runs at 1, 2 and 4 workers must reproduce it — results land in
 // indexed slots, so completion order never leaks into an output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "metrics/query.hpp"
 #include "silvervale/silvervale.hpp"
 #include "support/parallel.hpp"
 #include "tree/tedengine.hpp"
@@ -95,6 +99,60 @@ TEST(ThreadInvariance, PortMatrixTsemAtBothRadii) {
         EXPECT_EQ(m.values, ref.values)
             << "radius=" << radius << " workers=" << workers << " run=" << run;
       }
+    }
+  }
+}
+
+TEST(ThreadInvariance, TopKAndRangeQueriesWithStats) {
+  // Every third port as the corpus and three of them as queries: each
+  // top-k and range answer, and the filter's QueryStats, must not depend
+  // on the worker count.
+  const auto all = silvervale::indexAllPorts();
+  std::vector<const db::CodebaseDb *> corpus;
+  for (usize i = 0; i < all.size(); i += 3) corpus.push_back(&all[i].db);
+  struct Answers {
+    std::vector<std::vector<metrics::Neighbor>> hits;
+    metrics::QueryStats topK, range;
+  };
+  // A fresh engine per run, so no run replays another's pair memo.
+  const auto answers = [&](usize workers) {
+    const WorkerCap cap(workers);
+    tree::TedEngine::global().clear();
+    Answers out;
+    for (const usize q : {usize{0}, usize{5}, usize{11}}) {
+      out.hits.push_back(metrics::topKDivergence(*corpus[q], corpus, 3, metrics::Metric::Tsem,
+                                                 {}, {}, {}, &out.topK));
+      out.hits.push_back(metrics::rangeDivergence(*corpus[q], corpus, 400,
+                                                  metrics::Metric::Tsem, {}, {}, {}, &out.range));
+    }
+    return out;
+  };
+  const auto sameHits = [](const std::vector<metrics::Neighbor> &a,
+                           const std::vector<metrics::Neighbor> &b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin(), [](auto &x, auto &y) {
+             return x.index == y.index && x.distance == y.distance &&
+                    x.normalised == y.normalised;
+           });
+  };
+  const auto sameStats = [](const metrics::QueryStats &a, const metrics::QueryStats &b) {
+    return std::tie(a.candidates, a.prunedByBound, a.prunedByCutoff, a.exact) ==
+           std::tie(b.candidates, b.prunedByBound, b.prunedByCutoff, b.exact);
+  };
+  const auto ref = answers(1);
+  // Both queries exercise the filter, and range finds members.
+  ASSERT_GT(ref.topK.prunedByBound + ref.topK.prunedByCutoff, 0u);
+  ASSERT_GT(ref.range.prunedByBound + ref.range.prunedByCutoff, 0u);
+  ASSERT_GT(ref.range.exact, 0u);
+  for (const usize workers : kWorkerCounts) {
+    for (int run = 0; run < kRuns; ++run) {
+      const std::string at =
+          " at workers=" + std::to_string(workers) + " run=" + std::to_string(run);
+      const auto got = answers(workers);
+      ASSERT_EQ(got.hits.size(), ref.hits.size());
+      for (usize h = 0; h < ref.hits.size(); ++h)
+        EXPECT_TRUE(sameHits(got.hits[h], ref.hits[h])) << "query " << h << at;
+      EXPECT_TRUE(sameStats(got.topK, ref.topK)) << "top-k stats" << at;
+      EXPECT_TRUE(sameStats(got.range, ref.range)) << "range stats" << at;
     }
   }
 }

@@ -135,21 +135,31 @@ TEST(TedBounds, EngineCutoffParityAndStatBuckets) {
   const u64 exact = exactTed(a, b);
   ASSERT_GT(exact, 2u);
 
-  // Tight cutoff equal to the signature bound: settled without a DP.
+  // Tight cutoff equal to the signature bound: no TED entry point checks
+  // bounds (only the query layer does), so the DP runs and resolves at the
+  // ceiling, as do uncached Apted and Zhang-Shasha.
   const u64 lb = tedLowerBound(boundSignature(a), boundSignature(b), {});
-  if (lb > 0) {
-    TedOptions tight;
-    tight.cutoff = lb;
-    EXPECT_EQ(engine.ted(a, b, tight), lb);
-    EXPECT_EQ(engine.stats().prunedByBound, 1u);
-    EXPECT_EQ(engine.stats().memoMisses, 0u); // no DP ran
+  ASSERT_GT(lb, 0u);
+  ASSERT_LT(lb, exact);
+  TedOptions tight;
+  tight.cutoff = lb;
+  EXPECT_EQ(engine.ted(a, b, tight), lb);
+  EXPECT_EQ(engine.stats().prunedByCutoff, 1u);
+  EXPECT_EQ(engine.stats().prunedByBound, 0u);
+  EXPECT_EQ(engine.stats().memoMisses, 1u); // the DP ran
+  for (const auto algo : {TedAlgo::Apted, TedAlgo::ZhangShasha}) {
+    TedOptions uncached = tight;
+    uncached.algo = algo;
+    uncached.useCache = false;
+    EXPECT_EQ(ted(a, b, uncached), lb) << "algo " << static_cast<int>(algo);
   }
 
-  // Mid cutoff: the DP runs and resolves at the ceiling.
+  // Mid cutoff: above the bound the memo recorded, so the DP runs again and
+  // resolves at the ceiling.
   TedOptions mid;
   mid.cutoff = exact; // exact >= cutoff, so the result is the cutoff
   EXPECT_EQ(engine.ted(a, b, mid), exact);
-  EXPECT_EQ(engine.stats().prunedByCutoff, 1u);
+  EXPECT_EQ(engine.stats().prunedByCutoff, 2u);
 
   // Loose cutoff: completes exactly, is memoised, and a later exact query
   // replays it from the memo.
@@ -160,6 +170,7 @@ TEST(TedBounds, EngineCutoffParityAndStatBuckets) {
   const u64 memoHitsBefore = engine.stats().memoHits;
   EXPECT_EQ(engine.ted(a, b, {}), exact);
   EXPECT_EQ(engine.stats().memoHits, memoHitsBefore + 1);
+  EXPECT_EQ(engine.stats().prunedByBound, 0u);
 }
 
 TEST(TedBounds, PairMemoRecordsEveryDpOutcome) {

@@ -62,8 +62,8 @@ TEST(TedEngine, StructurallyIdenticalTreesShareOneView) {
   const auto s = engine.stats();
   EXPECT_EQ(s.viewMisses, 1u);
   EXPECT_EQ(s.viewHits, 1u);
-  EXPECT_EQ(v1->index.n, t.size());
-  EXPECT_EQ(v1->index.fp[v1->index.n], t.fingerprint());
+  EXPECT_EQ(v1->n, t.size());
+  EXPECT_EQ(v1->fp[v1->n], t.fingerprint());
 }
 
 TEST(TedEngine, CachedEqualsUncachedOnRandomTrees) {
