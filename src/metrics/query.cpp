@@ -1,6 +1,8 @@
 #include "metrics/query.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 
 #include "support/parallel.hpp"
 #include "tree/tedengine.hpp"
@@ -185,19 +187,36 @@ std::vector<Neighbor> topKDivergence(const db::CodebaseDb &query,
   search.buildBounds();
 
   // Filter order: cheapest-looking candidates first, so the cutoff tightens
-  // as fast as possible.
+  // as fast as possible. One worker takes them in exactly this order.
   std::vector<std::pair<u64, usize>> order;
   order.reserve(corpus.size());
   for (usize i = 0; i < corpus.size(); ++i) order.push_back({search.lowerBound(i), i});
   std::sort(order.begin(), order.end());
 
+  // Refined in parallel under a shared cutoff that only falls (0, "exact",
+  // while the pool fills). Every cutoff a task sees is >= the final k-th
+  // best + 1, so every true top-k member, ties at the k-th distance
+  // included, is refined exactly whatever the schedule, and the pool keeps
+  // the k least (distance, index) of what it is offered. Which losers get
+  // pruned, and how, does depend on the schedule above one worker.
   TopKPool pool(k);
-  for (const auto &[lb, i] : order) {
-    const auto bd = search.evaluate(i, pool.cutoff());
-    if (stats) stats->count(bd.outcome);
-    if (bd.outcome != FilterOutcome::Exact) continue;
-    pool.offer({i, bd.divergence.distance, bd.divergence.normalised()});
-  }
+  std::mutex poolMutex;
+  std::atomic<u64> cut{0};
+  std::vector<FilterOutcome> outcomes(order.size(), FilterOutcome::Exact);
+  parallelFor(
+      order.size(),
+      [&](usize t) {
+        const usize i = order[t].second;
+        const auto bd = search.evaluate(i, cut.load());
+        outcomes[t] = bd.outcome;
+        if (bd.outcome != FilterOutcome::Exact) return;
+        const std::lock_guard lock(poolMutex);
+        pool.offer({i, bd.divergence.distance, bd.divergence.normalised()});
+        cut.store(pool.cutoff());
+      },
+      0, "query-refine");
+  if (stats)
+    for (const FilterOutcome o : outcomes) stats->count(o);
   return std::move(pool).sorted();
 }
 

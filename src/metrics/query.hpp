@@ -131,8 +131,12 @@ struct QueryStats {
 };
 
 /// The k nearest corpus entries to `query` by divergence distance, ties by
-/// index — byte-identical to sorting all exact distances. The cutoff
-/// shrinks to (current k-th best) + 1 as results accumulate.
+/// index — byte-identical to sorting all exact distances. Candidates are
+/// refined in lower-bound order by one `query-refine` parallelFor under a
+/// shared cutoff that falls to (current k-th best) + 1 as results land.
+/// The answer does not depend on the schedule; `stats` does above one
+/// worker (which losers were pruned, and how), and at one worker equals
+/// the serial refine's.
 [[nodiscard]] std::vector<Neighbor> topKDivergence(
     const db::CodebaseDb &query, const std::vector<const db::CodebaseDb *> &corpus, usize k,
     Metric metric, Variant variant = {}, const tree::TedOptions &ted = {},
@@ -140,6 +144,8 @@ struct QueryStats {
 
 /// Every corpus entry within distance <= radius, ascending (distance,
 /// index). Exact member distances; non-members are pruned unevaluated.
+/// Refined serially on the caller: range queries are short, and a node per
+/// query costs more latency than it saves.
 [[nodiscard]] std::vector<Neighbor> rangeDivergence(
     const db::CodebaseDb &query, const std::vector<const db::CodebaseDb *> &corpus, u64 radius,
     Metric metric, Variant variant = {}, const tree::TedOptions &ted = {},

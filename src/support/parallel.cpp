@@ -1,6 +1,7 @@
 #include "support/parallel.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 
 #include "support/pipeline.hpp"
@@ -88,6 +89,21 @@ ThreadPool &sharedPool() {
 
 void parallelFor(usize n, const std::function<void(usize)> &body, usize threads,
                  std::string name) {
+  if (n <= 1) { // nothing to share: skip the runtime's start-up, keep the row
+    NodeStats s{.name = std::move(name), .workers = 1, .items = n};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::exception_ptr error;
+    try {
+      if (n == 1) body(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    s.busyMs = s.wallMs =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    registerPipelineStats(std::move(s));
+    if (error) std::rethrow_exception(error);
+    return;
+  }
   StreamRuntime rt(std::move(name), threads);
   for (usize i = 0; i < n; ++i) rt.spawn([&body, i] { body(i); });
   rt.run();

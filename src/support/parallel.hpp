@@ -84,7 +84,9 @@ void configureThreads(usize threads);
 /// calling thread draining as worker 0, and register the node's NodeStats
 /// under `name`. Every index runs even if some throw; the first exception
 /// is rethrown after the loop completes and the rest are counted via
-/// noteSuppressedErrors().
+/// noteSuppressedErrors(). With n <= 1 there is nothing to share: the body
+/// runs inline on the caller, the row still registers (workers 1, wall =
+/// busy = the body's time), and the body's exception propagates unchanged.
 void parallelFor(usize n, const std::function<void(usize)> &body, usize threads = 0,
                  std::string name = "parallel-for");
 

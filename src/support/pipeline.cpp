@@ -1,5 +1,7 @@
 #include "support/pipeline.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iomanip>
 #include <sstream>
@@ -36,6 +38,19 @@ std::string NodeStats::renderText(usize indent) const {
 
 void registerPipelineStats(NodeStats stats) {
   const std::lock_guard lock(gStatsMutex);
+  if (gStatsRegistry.size() >= kMaxPipelineStatsRows) {
+    const auto row = std::find_if(gStatsRegistry.rbegin(), gStatsRegistry.rend(),
+                                  [&](const NodeStats &r) { return r.name == stats.name; });
+    if (row != gStatsRegistry.rend()) {
+      row->items += stats.items;
+      row->busyMs += stats.busyMs;
+      row->wallMs += stats.wallMs;
+      row->steals += stats.steals;
+      row->maxQueueDepth = std::max(row->maxQueueDepth, stats.maxQueueDepth);
+      row->workers = std::max(row->workers, stats.workers);
+      return;
+    }
+  }
   gStatsRegistry.push_back(std::move(stats));
 }
 
@@ -55,9 +70,12 @@ struct StreamRuntime::Impl {
   std::vector<std::unique_ptr<WorkStealingDeque<Task>>> deques;
   WorkStealingDeque<Task> inject; // FIFO: pushBottom in, stealTop out
 
-  std::mutex mutex; // guards pending, errors, and the flushed counters
+  std::mutex mutex; // guards pending, spawns, errors, and the flushed counters
   std::condition_variable wake;
   usize pending = 0;
+  /// Wake epoch of idle workers: bumped under `mutex` after each spawn's
+  /// push; atomic so a worker reads it before a scan without the lock.
+  std::atomic<u64> spawns{0};
   std::vector<std::exception_ptr> errors;
   u64 busyNs = 0;
   usize items = 0;
@@ -84,6 +102,9 @@ void workerLoop(const std::shared_ptr<StreamRuntime::Impl> &impl, usize index) {
   usize localItems = 0;
 
   while (true) {
+    // Read before the scan: a task pushed after the scan missed it has
+    // moved the epoch by the time this worker checks it under the mutex.
+    const u64 epoch = impl->spawns.load();
     std::optional<Task> task = own.popBottom();
     if (!task) {
       for (usize k = 1; k < impl->workers && !task; ++k)
@@ -113,12 +134,8 @@ void workerLoop(const std::shared_ptr<StreamRuntime::Impl> &impl, usize index) {
       if (finished) impl->wake.notify_all();
     } else {
       std::unique_lock lock(impl->mutex);
+      impl->wake.wait(lock, [&] { return impl->pending == 0 || impl->spawns != epoch; });
       if (impl->pending == 0) break;
-      // Timed wait instead of a precise wakeup protocol: spawns notify one
-      // sleeper, but a steal-then-spawn interleaving could miss it, and a
-      // 200us poll on an otherwise-idle worker is noise next to the task
-      // granularity (whole compiler phases).
-      impl->wake.wait_for(lock, std::chrono::microseconds(200));
     }
   }
 
@@ -147,6 +164,10 @@ void StreamRuntime::spawn(Task task) {
     impl_->deques[tlWorker.index]->pushBottom(std::move(task));
   } else {
     impl_->inject.pushBottom(std::move(task));
+  }
+  {
+    const std::lock_guard lock(impl_->mutex);
+    ++impl_->spawns;
   }
   impl_->wake.notify_one();
 }

@@ -10,14 +10,17 @@
 // just means the caller does all the work itself; nothing joins on a
 // specific thread), each worker owns a WorkStealingDeque (deque.hpp) and
 // steals from its peers when dry, and spawns from outside the worker set
-// land on one more deque used FIFO as the injection channel.
+// land on one more deque used FIFO as the injection channel. An idle worker
+// sleeps, with no timeout, until the graph drains or a spawn moves the
+// runtime's spawn epoch past the value it read before its last scan.
 //
 // Determinism contract: results land in slots indexed by item, never in
 // completion order, so output is byte-identical at any worker count (a
-// 1-worker run is the reference). Every node self-reports throughput,
-// occupancy, queue depth and steal counts as one NodeStats row (`svale
-// --pipeline-stats`), following the self-instrumented pattern-node design
-// of the Extra-P compositional performance analyzer.
+// 1-worker run is the reference). The one schedule-dependent output is
+// top-k's filter counters above one worker (metrics/query.hpp). Every node
+// self-reports throughput, occupancy, queue depth and steal counts as one
+// NodeStats row (`svale --pipeline-stats`), following the self-instrumented
+// pattern-node design of the Extra-P compositional performance analyzer.
 #pragma once
 
 #include <functional>
@@ -48,9 +51,15 @@ struct NodeStats {
   [[nodiscard]] std::string renderText(usize indent = 0) const;
 };
 
+/// Rows the stats registry holds before it starts folding.
+inline constexpr usize kMaxPipelineStatsRows = 4096;
+
 /// Process-wide stats registry. Every node appends its NodeStats after each
 /// run; `svale --pipeline-stats` drains and renders one row per node after
-/// the command body finishes.
+/// the command body finishes. Nothing has to drain it: once it holds
+/// kMaxPipelineStatsRows rows, a new row folds into the latest row of the
+/// same name (items, busy, wall and steals summed; queue depth and workers
+/// maxed), so totals stay exact and only a name not seen yet adds a row.
 void registerPipelineStats(NodeStats stats);
 [[nodiscard]] std::vector<NodeStats> drainPipelineStats();
 
@@ -60,8 +69,9 @@ void registerPipelineStats(NodeStats stats);
 /// rethrows the first task exception (the rest are counted, reported via
 /// suppressedErrorCount()). A task running on a worker spawns onto its own
 /// deque (LIFO continuation); any other thread spawns onto the injection
-/// deque. Helper workers are borrowed from sharedPool() and give
-/// themselves back the moment the graph drains.
+/// deque, and each spawn wakes one sleeping worker. Helper workers are
+/// borrowed from sharedPool() and give themselves back the moment the
+/// graph drains.
 class StreamRuntime {
 public:
   explicit StreamRuntime(std::string name, usize threads = 0);

@@ -103,10 +103,28 @@ TEST(ThreadInvariance, PortMatrixTsemAtBothRadii) {
   }
 }
 
+namespace {
+
+bool sameHits(const std::vector<metrics::Neighbor> &a, const std::vector<metrics::Neighbor> &b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin(), [](auto &x, auto &y) {
+           return x.index == y.index && x.distance == y.distance && x.normalised == y.normalised;
+         });
+}
+
+bool sameStats(const metrics::QueryStats &a, const metrics::QueryStats &b) {
+  return std::tie(a.candidates, a.prunedByBound, a.prunedByCutoff, a.exact) ==
+         std::tie(b.candidates, b.prunedByBound, b.prunedByCutoff, b.exact);
+}
+
+} // namespace
+
 TEST(ThreadInvariance, TopKAndRangeQueriesWithStats) {
   // Every third port as the corpus and three of them as queries: each
-  // top-k and range answer, and the filter's QueryStats, must not depend
-  // on the worker count.
+  // top-k and range answer must not depend on the worker count, and
+  // neither may range's QueryStats. Top-k refines its candidates in
+  // parallel under a shared falling cutoff, so which losers get pruned,
+  // and how, depends on the schedule above one worker: its stats match the
+  // reference at one worker, and above that only their totals are fixed.
   const auto all = silvervale::indexAllPorts();
   std::vector<const db::CodebaseDb *> corpus;
   for (usize i = 0; i < all.size(); i += 3) corpus.push_back(&all[i].db);
@@ -127,17 +145,6 @@ TEST(ThreadInvariance, TopKAndRangeQueriesWithStats) {
     }
     return out;
   };
-  const auto sameHits = [](const std::vector<metrics::Neighbor> &a,
-                           const std::vector<metrics::Neighbor> &b) {
-    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin(), [](auto &x, auto &y) {
-             return x.index == y.index && x.distance == y.distance &&
-                    x.normalised == y.normalised;
-           });
-  };
-  const auto sameStats = [](const metrics::QueryStats &a, const metrics::QueryStats &b) {
-    return std::tie(a.candidates, a.prunedByBound, a.prunedByCutoff, a.exact) ==
-           std::tie(b.candidates, b.prunedByBound, b.prunedByCutoff, b.exact);
-  };
   const auto ref = answers(1);
   // Both queries exercise the filter, and range finds members.
   ASSERT_GT(ref.topK.prunedByBound + ref.topK.prunedByCutoff, 0u);
@@ -151,8 +158,49 @@ TEST(ThreadInvariance, TopKAndRangeQueriesWithStats) {
       ASSERT_EQ(got.hits.size(), ref.hits.size());
       for (usize h = 0; h < ref.hits.size(); ++h)
         EXPECT_TRUE(sameHits(got.hits[h], ref.hits[h])) << "query " << h << at;
-      EXPECT_TRUE(sameStats(got.topK, ref.topK)) << "top-k stats" << at;
       EXPECT_TRUE(sameStats(got.range, ref.range)) << "range stats" << at;
+      if (workers == 1) {
+        EXPECT_TRUE(sameStats(got.topK, ref.topK)) << "top-k stats" << at;
+      } else {
+        EXPECT_EQ(got.topK.candidates, ref.topK.candidates) << "top-k candidates" << at;
+        EXPECT_EQ(got.topK.prunedByBound + got.topK.prunedByCutoff + got.topK.exact,
+                  got.topK.candidates)
+            << "top-k outcomes" << at;
+      }
+    }
+  }
+}
+
+TEST(ThreadInvariance, TopKTiesAtKthDistance) {
+  // Every DB three times over, so the query's own copies tie at distance
+  // 0 and every other distance ties three ways. k = 4 and k = 5 cut inside
+  // a tie group, which only index order may break, whatever order the
+  // parallel refine offered the tied candidates in.
+  silvervale::IndexAppOptions options;
+  options.models = {"serial", "omp", "cuda", "kokkos"};
+  const auto app = silvervale::indexApp("babelstream", options);
+  std::vector<const db::CodebaseDb *> corpus;
+  for (int copy = 0; copy < 3; ++copy)
+    for (const auto &db : app.models) corpus.push_back(&db);
+  const auto &query = *corpus[1];
+
+  std::vector<metrics::Neighbor> all;
+  for (usize i = 0; i < corpus.size(); ++i) {
+    const auto d = metrics::diverge(query, *corpus[i], metrics::Metric::Tsem);
+    all.push_back({i, d.distance, d.normalised()});
+  }
+  std::sort(all.begin(), all.end(), [](const auto &a, const auto &b) {
+    return std::tie(a.distance, a.index) < std::tie(b.distance, b.index);
+  });
+
+  const WorkerCap cap(4);
+  for (const usize k : {usize{4}, usize{5}}) {
+    const std::vector<metrics::Neighbor> brute(all.begin(), all.begin() + static_cast<long>(k));
+    ASSERT_EQ(brute[k - 1].distance, all[k].distance) << "k=" << k << " must cut a tie";
+    for (int run = 0; run < 20; ++run) {
+      tree::TedEngine::global().clear();
+      const auto got = metrics::topKDivergence(query, corpus, k, metrics::Metric::Tsem);
+      EXPECT_TRUE(sameHits(got, brute)) << "k=" << k << " run=" << run;
     }
   }
 }

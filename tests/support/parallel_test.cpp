@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "support/parallel.hpp"
+#include "support/pipeline.hpp"
 
 using namespace sv;
 
@@ -50,6 +51,29 @@ TEST(ParallelFor, PropagatesException) {
     if (i == 42) throw std::logic_error("bad index");
   }),
                std::logic_error);
+}
+
+TEST(ParallelFor, SingleItemRunsInlineOnCaller) {
+  (void)drainPipelineStats();
+  std::thread::id ranOn;
+  parallelFor(1, [&](usize i) {
+    EXPECT_EQ(i, 0u);
+    ranOn = std::this_thread::get_id();
+  }, 4, "single-item");
+  EXPECT_EQ(ranOn, std::this_thread::get_id());
+  EXPECT_THROW(parallelFor(1, [](usize) { throw std::logic_error("only item"); }, 4,
+                           "single-item-throws"),
+               std::logic_error);
+  // One row per call, the throwing one included.
+  const auto rows = drainPipelineStats();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto &row : rows) {
+    EXPECT_EQ(row.workers, 1u);
+    EXPECT_EQ(row.items, 1u);
+    EXPECT_EQ(row.wallMs, row.busyMs);
+  }
+  EXPECT_EQ(rows[0].name, "single-item");
+  EXPECT_EQ(rows[1].name, "single-item-throws");
 }
 
 TEST(ResolveThreadCount, PrecedenceAndParsing) {

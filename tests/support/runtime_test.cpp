@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,6 +109,44 @@ TEST(StreamRuntime, RethrowsFirstTaskErrorCountsRest) {
   EXPECT_EQ(suppressedErrorCount(), before + 2);
 }
 
+TEST(StreamRuntime, LateSpawnWakesSleepingHelpers) {
+  // A chain of tasks: each one pauses (mostly long enough for its helpers
+  // to go to sleep, sometimes not at all, so spawns also land while a
+  // helper is mid-scan), spawns its successor onto its own deque, and then
+  // blocks until another worker has started that successor. Only a woken
+  // helper can start it, so a spawn whose wake-up is lost fails the link.
+  constexpr int kRepetitions = 25;
+  constexpr int kLinks = 16;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    StreamRuntime rt("late-spawn", 4);
+    ASSERT_GE(rt.workerCount(), 2u);
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0;
+    int lostWakeups = 0;
+    std::function<void(int)> link = [&](int i) {
+      {
+        const std::lock_guard lock(mu);
+        started = i;
+      }
+      cv.notify_all();
+      if (i == kLinks) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(i % 4 == 0 ? 0 : 500));
+      rt.spawn([&link, i] { link(i + 1); });
+      std::unique_lock lock(mu);
+      // After one lost wake-up the rest of the chain runs unchecked.
+      if (lostWakeups == 0 &&
+          !cv.wait_for(lock, std::chrono::seconds(10), [&] { return started > i; }))
+        ++lostWakeups;
+    };
+    rt.spawn([&link] { link(1); });
+    rt.run();
+    EXPECT_EQ(started, kLinks) << "repetition " << rep;
+    ASSERT_EQ(lostWakeups, 0) << "repetition " << rep;
+    EXPECT_EQ(rt.stats().items, static_cast<usize>(kLinks));
+  }
+}
+
 namespace {
 
 /// The single NodeStats the last node run registered.
@@ -141,5 +182,26 @@ TEST(PipelineStats, RegistryDrainsOnce) {
   EXPECT_EQ(drained[0].items, 7u);
   EXPECT_EQ(drained[1].name, "second-node");
   EXPECT_EQ(drained[1].items, 10u);
+  EXPECT_TRUE(drainPipelineStats().empty());
+}
+
+TEST(PipelineStats, RegistryStaysBoundedAndTotalsExact) {
+  (void)drainPipelineStats();
+  constexpr usize kNodes = 10000;
+  for (usize i = 0; i < kNodes; ++i) parallelFor(1, [](usize) {}, 1, "one-item");
+  parallelFor(3, [](usize) {}, 2, "other-node"); // a new name past the cap
+  const auto drained = drainPipelineStats();
+  usize rows = 0;
+  usize items = 0;
+  for (const auto &row : drained) {
+    if (row.name != "one-item") continue;
+    ++rows;
+    items += row.items;
+  }
+  EXPECT_LE(rows, kMaxPipelineStatsRows);
+  EXPECT_EQ(items, kNodes);
+  ASSERT_EQ(drained.size(), rows + 1);
+  EXPECT_EQ(drained.back().name, "other-node");
+  EXPECT_EQ(drained.back().items, 3u);
   EXPECT_TRUE(drainPipelineStats().empty());
 }
