@@ -297,7 +297,9 @@ std::vector<IndexResult> indexBatch(const std::vector<const Codebase *> &codebas
         [&](usize c) {
           auto &result = results[c];
           const auto merged = linkForExecution(*codebases[c]);
-          auto runResult = vm::run(merged, {.fortran = result.db.fortran});
+          vm::RunOptions runOptions;
+          runOptions.fortran = result.db.fortran;
+          auto runResult = vm::run(merged, runOptions);
           result.db.coverage = runResult.coverage;
           result.db.hasCoverage = true;
           result.coverageRun = std::move(runResult);

@@ -75,13 +75,15 @@ TEST_P(CorpusPort, IndexesAndVerifies) {
   const auto &run = *result.coverageRun;
   EXPECT_NE(run.output.find("PASSED"), std::string::npos)
       << app << "/" << model << " output:\n" << run.output;
-  if (!run.returnValue.isVoid()) EXPECT_EQ(run.returnValue.asInt(), 0);
+  if (!run.returnValue.isVoid()) {
+    EXPECT_EQ(run.returnValue.asInt(), 0);
+  }
   EXPECT_GT(run.coverage.coveredLineCount(), 20u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPorts, CorpusPort, ::testing::ValuesIn(allPorts()),
-                         [](const auto &info) {
-                           std::string name = info.param.first + "_" + info.param.second;
+                         [](const auto &port) {
+                           std::string name = port.param.first + "_" + port.param.second;
                            for (auto &c : name)
                              if (c == '-') c = '_';
                            return name;

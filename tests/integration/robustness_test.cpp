@@ -414,7 +414,10 @@ TEST(TreeProperties, PruneKeepsInvariantsOnRandomTrees) {
     const auto pruned = t.pruneWhere([&](const tree::Node &x) { return x.label[0] != drop; });
     pruned.validate();
     EXPECT_LE(pruned.size(), t.size());
-    for (const auto &node : pruned.nodes())
-      if (node.label != "<masked>") EXPECT_NE(node.label[0], drop);
+    for (const auto &node : pruned.nodes()) {
+      if (node.label != "<masked>") {
+        EXPECT_NE(node.label[0], drop);
+      }
+    }
   }
 }

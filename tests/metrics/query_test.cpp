@@ -107,9 +107,10 @@ TEST(Query, RangeResultsAreWithinRadiusAndSorted) {
   const auto hits = rangeDivergence(ports[0], pointers(ports, usize{0}), radius, Metric::Tsem);
   for (usize i = 0; i < hits.size(); ++i) {
     EXPECT_LE(hits[i].distance, radius);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_LE(std::tie(hits[i - 1].distance, hits[i - 1].index),
                 std::tie(hits[i].distance, hits[i].index));
+    }
   }
 }
 

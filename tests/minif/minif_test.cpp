@@ -283,8 +283,9 @@ TEST(FTrees, AccLowersInline) {
   for (const auto &f : m.functions)
     for (const auto &b : f.blocks)
       for (const auto &in : b.instrs)
-        if (in.op == "call")
+        if (in.op == "call") {
           EXPECT_EQ(in.operands[0].find("__kmpc"), std::string::npos);
+        }
   EXPECT_EQ(m.functions.size(), 1u); // nothing outlined
 }
 

@@ -144,6 +144,8 @@ TEST(NavChart, RenderShowsMarkersAndLegend) {
 TEST(EfficiencyFactor, AccReproducesGccQoIFinding) {
   // Section V-B: GCC OpenACC runs single-threaded in practice.
   for (const auto &p : tableIIIPlatforms()) {
-    if (!p.gpu) EXPECT_LT(efficiencyFactor(ir::Model::OpenAcc, p), 0.2);
+    if (!p.gpu) {
+      EXPECT_LT(efficiencyFactor(ir::Model::OpenAcc, p), 0.2);
+    }
   }
 }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "support/parallel.hpp"
@@ -89,6 +91,16 @@ TEST(ResolveThreadCount, PrecedenceAndParsing) {
   EXPECT_EQ(resolveThreadCount(0, "", 8), 8u);
   // Unknown hardware concurrency floors at one worker.
   EXPECT_EQ(resolveThreadCount(0, nullptr, 0), 1u);
+  // Digits only: a sign, whitespace or a value past u64 is ignored.
+  EXPECT_EQ(resolveThreadCount(0, "-1", 8), 8u);
+  EXPECT_EQ(resolveThreadCount(0, "+3", 8), 8u);
+  EXPECT_EQ(resolveThreadCount(0, " 4", 8), 8u);
+  EXPECT_EQ(resolveThreadCount(0, "99999999999999999999", 8), 8u);
+  // Every source is clamped to the ceiling.
+  EXPECT_EQ(resolveThreadCount(100000, nullptr, 8), kMaxThreads);
+  EXPECT_EQ(resolveThreadCount(0, "100000", 8), kMaxThreads);
+  EXPECT_EQ(resolveThreadCount(0, nullptr, 100000), kMaxThreads);
+  EXPECT_EQ(resolveThreadCount(kMaxThreads, nullptr, 8), kMaxThreads);
 }
 
 TEST(ParallelFor, SharedPoolIsReusedAcrossCalls) {
@@ -150,6 +162,47 @@ TEST(ParallelFor, NestedCallCoversEveryIndexOnce) {
       },
       3);
   for (usize k = 0; k < hits.size(); ++k) EXPECT_EQ(hits[k].load(), 1) << k;
+}
+
+TEST(ParallelFor, RethrowsLowestFailingIndexCountsRest) {
+  // Index 3 throws first in time; index 0 throws only after a pause. The
+  // rethrown error must not depend on which one a worker caught first.
+  for (int run = 0; run < 20; ++run) {
+    const usize before = suppressedErrorCount();
+    try {
+      parallelFor(
+          4,
+          [](usize i) {
+            if (i == 0) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              throw std::runtime_error("zero");
+            }
+            if (i == 3) throw std::runtime_error("three");
+          },
+          4, "lowest-error");
+      ADD_FAILURE() << "run " << run << " did not throw";
+    } catch (const std::runtime_error &e) {
+      EXPECT_STREQ(e.what(), "zero") << "run " << run;
+    }
+    EXPECT_EQ(suppressedErrorCount(), before + 1) << "run " << run;
+  }
+}
+
+TEST(ParallelFor, BackToBackSmallLoopsAtFourWorkers) {
+  // Helpers of a small loop often reach the pool after the caller drained
+  // every index and returned; such a late helper must find nothing to claim
+  // and touch neither the finished loop's body nor the next loop.
+  (void)drainPipelineStats();
+  constexpr usize kLoops = 2000;
+  for (usize loop = 0; loop < kLoops; ++loop) {
+    const usize n = 2 + loop % 4;
+    std::vector<int> hits(n, 0);
+    parallelFor(n, [&](usize i) { ++hits[i]; }, 4, "back-to-back");
+    for (usize i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << "loop " << loop << " index " << i;
+  }
+  const auto rows = drainPipelineStats();
+  ASSERT_EQ(rows.size(), kLoops);
+  for (usize loop = 0; loop < kLoops; ++loop) EXPECT_EQ(rows[loop].items, 2 + loop % 4) << loop;
 }
 
 TEST(ParallelFor, ExceptionLeavesSharedPoolUsable) {

@@ -635,7 +635,7 @@ int main(int argc, char **argv) {
   int rc;
   try {
     // One worker cap for every command (indexApp, divergenceMatrix,
-    // lint-dir, fuzz all run on StreamRuntime nodes): --threads N behaves
+    // lint-dir, fuzz all run on parallelFor nodes): --threads N behaves
     // exactly like SV_THREADS=N, with the flag taking precedence.
     if (const auto it = args.flags.find("threads"); it != args.flags.end()) {
       const u64 n = cli::parseU64(it->second, "threads");
