@@ -7,7 +7,6 @@
 #include <map>
 #include <random>
 #include <string>
-#include <unordered_map>
 
 #include "corpus/corpus.hpp"
 #include "db/codebase.hpp"
@@ -100,20 +99,16 @@ void BM_TedAptedPhases(benchmark::State &state) {
   const auto n = static_cast<usize>(state.range(0));
   const auto a = randomTree(1, n);
   const auto b = randomTree(2, n);
-  std::unordered_map<std::string, u32> ids;
-  const auto intern = [&ids](const std::string &s) {
-    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
-  };
   apted::RunCounters rc;
   for (auto _ : state) {
-    const auto ia = apted::buildIndex(a, intern);
-    const auto ib = apted::buildIndex(b, intern);
+    const auto ia = apted::buildIndex(a);
+    const auto ib = apted::buildIndex(b);
     const auto strat = apted::computeStrategy(ia, ib);
     rc = {};
     benchmark::DoNotOptimize(apted::run(ia, ib, strat, {}, /*reuseBlocks=*/false, &rc));
   }
-  const auto ia = apted::buildIndex(a, intern);
-  const auto ib = apted::buildIndex(b, intern);
+  const auto ia = apted::buildIndex(a);
+  const auto ib = apted::buildIndex(b);
   const auto strat = apted::computeStrategy(ia, ib);
   state.counters["strategy_cost"] = static_cast<double>(strat.cost);
   state.counters["whole_left_cost"] = static_cast<double>(ia.krSumLeft[ia.n] * ib.krSumLeft[ib.n]);

@@ -317,8 +317,6 @@ IndexResult index(const Codebase &codebase, const IndexOptions &options) {
 
 namespace {
 
-msgpack::Value treeToMsg(const tree::Tree &t) { return t.toMsgpack(); }
-
 msgpack::Value unitToMsg(const UnitEntry &u) {
   msgpack::Map m;
   m.emplace("file", u.file);
@@ -333,15 +331,11 @@ msgpack::Value unitToMsg(const UnitEntry &u) {
   m.emplace("lloc", u.lloc);
   m.emplace("slocPp", u.slocPp);
   m.emplace("llocPp", u.llocPp);
-  m.emplace("tsrc", treeToMsg(u.tsrc));
-  m.emplace("tsrcPp", treeToMsg(u.tsrcPp));
-  m.emplace("tsem", treeToMsg(u.tsem));
-  m.emplace("tsemI", treeToMsg(u.tsemI));
-  m.emplace("tir", treeToMsg(u.tir));
-  msgpack::Array sigs;
-  for (const auto *s : {&u.sigTsrc, &u.sigTsrcPp, &u.sigTsem, &u.sigTsemI, &u.sigTir})
-    sigs.push_back(s->toMsgpack());
-  m.emplace("sigs", std::move(sigs));
+  m.emplace("tsrc", u.tsrc.toMsgpack());
+  m.emplace("tsrcPp", u.tsrcPp.toMsgpack());
+  m.emplace("tsem", u.tsem.toMsgpack());
+  m.emplace("tsemI", u.tsemI.toMsgpack());
+  m.emplace("tir", u.tir.toMsgpack());
   return msgpack::Value(std::move(m));
 }
 
@@ -362,17 +356,9 @@ UnitEntry unitFromMsg(const msgpack::Value &v) {
   u.tsem = tree::Tree::fromMsgpack(v.at("tsem"));
   u.tsemI = tree::Tree::fromMsgpack(v.at("tsemI"));
   u.tir = tree::Tree::fromMsgpack(v.at("tir"));
-  const auto &m = v.asMap();
-  if (const auto it = m.find("sigs"); it != m.end()) {
-    const auto &sigs = it->second.asArray();
-    tree::BoundSignature *fields[] = {&u.sigTsrc, &u.sigTsrcPp, &u.sigTsem, &u.sigTsemI,
-                                      &u.sigTir};
-    for (usize i = 0; i < 5 && i < sigs.size(); ++i)
-      *fields[i] = tree::BoundSignature::fromMsgpack(sigs[i]);
-  } else {
-    // DB written before signatures existed: self-heal from the trees.
-    u.computeSignatures();
-  }
+  // Signatures are derived, never read: a DB file cannot forge a bound. A
+  // "sigs" key written by older versions is ignored.
+  u.computeSignatures();
   return u;
 }
 

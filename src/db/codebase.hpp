@@ -57,15 +57,13 @@ struct UnitEntry {
   tree::Tree tsemI;   ///< T_sem with same-codebase calls inlined
   tree::Tree tir;     ///< backend IR tree
 
-  // TED lower-bound signatures of the five trees (tree/tedbounds.hpp),
-  // computed once at index time and persisted: the metric-space query
-  // layer (metrics/query.hpp) filters candidate pairs on these without
-  // deserialising a single DP input. Label hashes, not interner ids, so
-  // they survive the round trip.
+  // TED lower-bound signatures of the five trees (tree/tedbounds.hpp): the
+  // metric-space query layer (metrics/query.hpp) filters candidate pairs
+  // on these before any DP. Derived from the trees by the indexer and by
+  // deserialise(), never stored in the DB.
   tree::BoundSignature sigTsrc, sigTsrcPp, sigTsem, sigTsemI, sigTir;
 
-  /// (Re)derive the five signatures from the trees — called by the indexer
-  /// and by deserialise() for DBs written before signatures existed.
+  /// Derive the five signatures from the trees.
   void computeSignatures();
 };
 

@@ -196,9 +196,8 @@ struct Parsed {
   std::vector<std::pair<tree::NodeId, tree::NodeId>> queue{{0, 0}}; // (src, dst)
   for (usize q = 0; q < queue.size(); ++q) {
     const auto [src, dst] = queue[q];
-    const auto &ch = t.node(src).children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it)
-      queue.emplace_back(*it, out.addChild(dst, t.node(*it).label));
+    for (tree::NodeId c = t.node(src).lastChild; c != tree::kNoNode; c = t.node(c).prevSibling)
+      queue.emplace_back(c, out.addChild(dst, t.node(c).label));
   }
   return out;
 }
@@ -244,7 +243,7 @@ struct Parsed {
         return "mirror invariance broken (engine off)";
       if (tree::tedDispatch(tm, qm, engineOn) != base)
         return "mirror invariance broken (engine on)";
-      const auto tag = [](const std::string &s) { return s + "\x01m"; };
+      const auto tag = [](std::string_view s) { return std::string(s) + "\x01m"; };
       const tree::Tree tr = t.relabel(tag), qr = q.relabel(tag);
       if (tree::ted(tr, qr, engineOff) != base)
         return "injective relabel invariance broken (engine off)";

@@ -54,10 +54,12 @@ TreeComplexity treeComplexity(const tree::Tree &t) {
   usize interior = 0;
   usize childSum = 0;
   for (const auto &n : t.nodes()) {
-    if (n.children.empty()) continue;
+    if (n.firstChild == tree::kNoNode) continue;
+    usize children = 0;
+    for (tree::NodeId c = n.firstChild; c != tree::kNoNode; c = t.node(c).nextSibling) ++children;
     ++interior;
-    childSum += n.children.size();
-    out.maxBranching = std::max(out.maxBranching, n.children.size());
+    childSum += children;
+    out.maxBranching = std::max(out.maxBranching, children);
   }
   if (interior > 0)
     out.averageBranching = static_cast<double>(childSum) / static_cast<double>(interior);

@@ -76,7 +76,7 @@ struct UnitPair {
 [[nodiscard]] const tree::Tree &metricTree(const db::UnitEntry &u, Metric metric,
                                            Variant variant = {});
 
-/// The persisted lower-bound signature of `metricTree(u, metric, variant)`.
+/// The lower-bound signature of `metricTree(u, metric, variant)`.
 [[nodiscard]] const tree::BoundSignature &metricSignature(const db::UnitEntry &u, Metric metric,
                                                           Variant variant = {});
 

@@ -11,7 +11,7 @@ namespace sv::metrics {
 
 namespace {
 
-/// Filtering needs persisted tree signatures: only tree metrics have them,
+/// Filtering needs the DB's tree signatures: only tree metrics have them,
 /// and the +coverage variant masks trees per call so the stored signatures
 /// no longer describe what the DP would see.
 bool filterable(Metric metric, const Variant &variant) {

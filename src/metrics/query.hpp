@@ -6,7 +6,7 @@
 // the exact-TED price for every candidate:
 //
 //   filter:  order candidates by an admissible lower bound assembled from
-//            the per-unit signatures persisted in the Codebase DB;
+//            the per-unit signatures each Codebase DB carries;
 //   refine:  evaluate survivors with a budgeted cutoff — top-k keeps the
 //            running k-th best as a shrinking budget, range queries use
 //            the radius — so losing candidates abandon mid-DP.
@@ -40,7 +40,7 @@ struct BoundedDivergence {
   FilterOutcome outcome = FilterOutcome::Exact;
 };
 
-/// One candidate pair of codebases, assembled once from the persisted unit
+/// One candidate pair of codebases, assembled once from the DBs' unit
 /// signatures: the exact unmatched contribution, the dmax normalisers and
 /// unit counts, and every matched unit pair with its admissible TED lower
 /// bound. Every bounded evaluation in the query layer (and portMatrix)
@@ -66,7 +66,7 @@ struct CandidateBounds {
                                               const tree::TedCosts &costs = {},
                                               const MatchOptions &match = {});
 
-/// Admissible lower bound on diverge(c1, c2, ...).distance from persisted
+/// Admissible lower bound on diverge(c1, c2, ...).distance from the DBs'
 /// unit signatures: summed per-pair TED bounds plus unmatched unit sizes.
 /// 0 (no filtering) for Source and the +coverage variant.
 [[nodiscard]] u64 divergenceLowerBound(const db::CodebaseDb &c1, const db::CodebaseDb &c2,

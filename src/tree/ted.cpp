@@ -3,78 +3,40 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 namespace sv::tree {
 
 namespace {
 
 /// Post-order view of a tree with everything Zhang–Shasha needs:
-/// 1-based post-order positions, interned labels, leftmost-leaf indices and
+/// 1-based post-order positions, label ids, leftmost-leaf indices and
 /// keyroots. Built once per tree per comparison.
 struct PostView {
   usize n = 0;
-  std::vector<u32> label;     ///< [1..n] interned label id
+  std::vector<u32> label;     ///< [1..n] LabelTable id
   std::vector<usize> lml;     ///< [1..n] post-order index of leftmost leaf descendant
   std::vector<usize> keyroots; ///< ascending
 };
 
-/// Interns labels of both trees into one id space so the DP inner loop
-/// compares u32s, not strings.
-class PairInterner {
-public:
-  u32 intern(const std::string &s) {
-    const auto [it, inserted] = ids_.emplace(s, static_cast<u32>(ids_.size()));
-    (void)inserted;
-    return it->second;
-  }
-
-private:
-  std::unordered_map<std::string, u32> ids_;
-};
-
-PostView makeView(const Tree &t, PairInterner &interner) {
+PostView makeView(const Tree &t) {
   PostView v;
   v.n = t.size();
   v.label.assign(v.n + 1, 0);
   v.lml.assign(v.n + 1, 0);
   if (v.n == 0) return v;
 
-  std::vector<NodeId> order;
-  order.reserve(v.n);
-  std::vector<std::pair<NodeId, usize>> stack{{0, 0}};
-  while (!stack.empty()) {
-    auto &[id, cursor] = stack.back();
-    const auto &ch = t.node(id).children;
-    if (cursor < ch.size()) {
-      stack.emplace_back(ch[cursor++], 0);
-    } else {
-      order.push_back(id);
-      stack.pop_back();
-    }
-  }
-
-  // Map node id -> post-order position (1-based).
+  // Node id -> post-order position (1-based). A node's first child comes
+  // before it in post-order, so its lml is already set. The keyroots (no
+  // j > i shares lml(i)) are the root and every node with a left sibling.
+  const std::vector<NodeId> order = t.postorder();
   std::vector<usize> pos(v.n, 0);
-  for (usize i = 0; i < order.size(); ++i) pos[order[i]] = i + 1;
-
   for (usize i = 1; i <= v.n; ++i) {
-    const NodeId id = order[i - 1];
-    v.label[i] = interner.intern(t.node(id).label);
-    const auto &ch = t.node(id).children;
-    v.lml[i] = ch.empty() ? i : v.lml[pos[ch.front()]];
+    const Node &node = t.node(order[i - 1]);
+    pos[order[i - 1]] = i;
+    v.label[i] = node.labelId;
+    v.lml[i] = node.firstChild == kNoNode ? i : v.lml[pos[node.firstChild]];
+    if (i == v.n || node.prevSibling != kNoNode) v.keyroots.push_back(i);
   }
-
-  // Keyroots: i is a keyroot iff no j > i has lml(j) == lml(i).
-  std::vector<bool> seen(v.n + 2, false);
-  for (usize i = v.n; i >= 1; --i) {
-    if (!seen[v.lml[i]]) {
-      v.keyroots.push_back(i);
-      seen[v.lml[i]] = true;
-    }
-    if (i == 1) break;
-  }
-  std::sort(v.keyroots.begin(), v.keyroots.end());
   return v;
 }
 
@@ -159,21 +121,17 @@ void checkPairDp(usize n1, usize n2, u64 bytesPerCell) {
 }
 
 u64 ted(const Tree &t1, const Tree &t2, const TedOptions &options) {
-  PairInterner interner;
   if (options.algo == TedAlgo::Apted) {
-    // Self-contained entry: index both trees against a per-call pair
-    // interner, plan, execute. Block reuse is the engine's job (it owns a
-    // cross-call fingerprint space); the uncached path skips it.
-    const auto intern = [&interner](const std::string &s) { return interner.intern(s); };
-    const apted::TreeIndex a = apted::buildIndex(t1, intern);
-    const apted::TreeIndex b = apted::buildIndex(t2, intern);
+    // Self-contained entry: index both trees, plan, execute. Block reuse is
+    // the engine's job (it owns a cross-call fingerprint space); the
+    // uncached path skips it.
+    const apted::TreeIndex a = apted::buildIndex(t1);
+    const apted::TreeIndex b = apted::buildIndex(t2);
     const apted::Strategy strategy = apted::computeStrategy(a, b);
     return apted::run(a, b, strategy, options.costs, /*reuseBlocks=*/false, nullptr,
                       options.cutoff);
   }
-  const PostView a = makeView(t1, interner);
-  const PostView b = makeView(t2, interner);
-  return zhangShasha(a, b, options.costs, options.cutoff);
+  return zhangShasha(makeView(t1), makeView(t2), options.costs, options.cutoff);
 }
 
 } // namespace sv::tree

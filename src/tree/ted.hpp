@@ -11,10 +11,11 @@
 //    path (the default, and the only algorithm the engine caches).
 //  * ZhangShasha — the classic left-path keyroot algorithm [Zhang & Shasha
 //    1989]; O(n1*n2*min(depth,leaves)^2) time, O(n1*n2) space. Kept as the
-//    independent oracle: it shares no code with Apted, and together with
-//    the brute-force enumerator (tests/tree/ted_bruteforce_test.cpp) it
-//    cross-checks every Apted distance in the tests and the fuzz `ted`
-//    round.
+//    independent oracle: it shares no DP code with Apted (both read the
+//    tree's post-order walk and label ids), and together with the
+//    brute-force enumerator (tests/tree/ted_bruteforce_test.cpp), which
+//    compares label text, it cross-checks every Apted distance in the
+//    tests and the fuzz `ted` round.
 //
 // Costs default to the paper's unit weight for delete/insert/relabel, but a
 // TedCosts struct allows per-operation weights — the future-work knob the
@@ -22,7 +23,6 @@
 // than removing existing code").
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "tree/tree.hpp"
@@ -90,7 +90,7 @@ namespace apted {
 /// columns: `lml` gives the path test (`lml[d] == lml[keyroot]`) and the
 /// subtree-jump prefix, `toCanon` the TD offset, `label` the rename test.
 struct OrientIndex {
-  std::vector<u32> label;     ///< [1..n] interned label id
+  std::vector<u32> label;     ///< [1..n] LabelTable id
   std::vector<u32> lml;       ///< [1..n] post-order index of the path-leaf descendant
   std::vector<u32> toCanon;   ///< [1..n] orientation position -> canonical position
   std::vector<u8> isPathChild; ///< [1..n] node is the first child of its parent (this orientation)
@@ -119,11 +119,10 @@ struct TreeIndex {
   }
 };
 
-/// Index `t` for the Apted pipeline. `intern` supplies label ids; both
-/// trees of a comparison must share one interner (the engine passes its
-/// global one, `ted()` a per-call pair interner).
-[[nodiscard]] TreeIndex buildIndex(const Tree &t,
-                                   const std::function<u32(const std::string &)> &intern);
+/// Index `t` for the Apted pipeline: one pass over each of `t`'s two
+/// post-order walks. Labels are the nodes' LabelTable ids and `fp` is
+/// `t.subtreeHashes()`, so any two indices are comparable.
+[[nodiscard]] TreeIndex buildIndex(const Tree &t);
 
 /// The four single-path decompositions the strategy DP chooses between:
 /// decompose along the left/right root-leaf path of the first tree's

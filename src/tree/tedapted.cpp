@@ -31,37 +31,11 @@ namespace sv::tree::apted {
 
 namespace {
 
-/// One post-order traversal: node ids in visit order plus the inverse map.
-struct Traversal {
-  std::vector<NodeId> order;
-  std::vector<u32> pos; ///< node id -> 1-based post-order position
-};
-
-Traversal postorderOf(const Tree &t, bool mirrored) {
-  Traversal tr;
-  const usize n = t.size();
-  tr.order.reserve(n);
-  tr.pos.assign(n, 0);
-  std::vector<std::pair<NodeId, usize>> stack{{0, 0}};
-  while (!stack.empty()) {
-    auto &[id, cursor] = stack.back();
-    const auto &ch = t.node(id).children;
-    if (cursor < ch.size()) {
-      const NodeId next = mirrored ? ch[ch.size() - 1 - cursor] : ch[cursor];
-      ++cursor;
-      stack.emplace_back(next, 0);
-    } else {
-      tr.order.push_back(id);
-      stack.pop_back();
-    }
-  }
-  for (usize i = 0; i < tr.order.size(); ++i) tr.pos[tr.order[i]] = static_cast<u32>(i + 1);
-  return tr;
-}
-
-OrientIndex makeOrient(const Tree &t, const Traversal &tr, bool mirrored,
-                       const std::function<u32(const std::string &)> &intern,
-                       const std::vector<u32> &canonPos) {
+/// One orientation of `t` from its post-order walk `order` (mirrored or
+/// not); `pos` maps node ids to 1-based positions in this walk, `canonPos`
+/// in the left one.
+OrientIndex makeOrient(const Tree &t, const std::vector<NodeId> &order, bool mirrored,
+                       const std::vector<u32> &pos, const std::vector<u32> &canonPos) {
   OrientIndex v;
   const usize n = t.size();
   v.label.assign(n + 1, 0);
@@ -69,17 +43,16 @@ OrientIndex makeOrient(const Tree &t, const Traversal &tr, bool mirrored,
   v.toCanon.assign(n + 1, 0);
   v.isPathChild.assign(n + 1, 0);
   for (usize i = 1; i <= n; ++i) {
-    const NodeId id = tr.order[i - 1];
-    const auto &node = t.node(id);
-    v.label[i] = intern(node.label);
+    const NodeId id = order[i - 1];
+    const Node &node = t.node(id);
+    v.label[i] = node.labelId;
     v.toCanon[i] = canonPos[id];
-    const auto &ch = node.children;
-    if (ch.empty()) {
+    const NodeId first = mirrored ? node.lastChild : node.firstChild;
+    if (first == kNoNode) {
       v.lml[i] = static_cast<u32>(i);
     } else {
-      const NodeId first = mirrored ? ch.back() : ch.front();
-      v.lml[i] = v.lml[tr.pos[first]];
-      v.isPathChild[tr.pos[first]] = 1;
+      v.lml[i] = v.lml[pos[first]];
+      v.isPathChild[pos[first]] = 1;
     }
   }
   return v;
@@ -368,15 +341,20 @@ const char *pathKindName(PathKind k) {
   return "?";
 }
 
-TreeIndex buildIndex(const Tree &t, const std::function<u32(const std::string &)> &intern) {
+TreeIndex buildIndex(const Tree &t) {
   TreeIndex ix;
   ix.n = t.size();
   if (ix.n == 0) return ix;
 
-  const auto L = postorderOf(t, false);
-  const auto R = postorderOf(t, true);
-  ix.left = makeOrient(t, L, false, intern, L.pos);
-  ix.right = makeOrient(t, R, true, intern, L.pos);
+  const auto positions = [&](const std::vector<NodeId> &order) {
+    std::vector<u32> pos(ix.n, 0);
+    for (usize i = 0; i < ix.n; ++i) pos[order[i]] = static_cast<u32>(i + 1);
+    return pos;
+  };
+  const std::vector<NodeId> L = t.postorder(), R = t.postorder(/*mirrored=*/true);
+  const std::vector<u32> lpos = positions(L), rpos = positions(R);
+  ix.left = makeOrient(t, L, false, lpos, lpos);
+  ix.right = makeOrient(t, R, true, rpos, lpos);
   ix.canonToRight.assign(ix.n + 1, 0);
   for (usize r = 1; r <= ix.n; ++r) ix.canonToRight[ix.right.toCanon[r]] = static_cast<u32>(r);
 
@@ -397,12 +375,14 @@ TreeIndex buildIndex(const Tree &t, const std::function<u32(const std::string &)
     return static_cast<u64>(rp - ix.right.lml[rp] + 1);
   };
 
+  const std::vector<u64> hashes = t.subtreeHashes();
   for (u32 i = 1; i <= ix.n; ++i) {
-    const NodeId id = L.order[i - 1];
-    const auto &node = t.node(id);
-    if (node.parent != kNoParent) ix.parent[i] = L.pos[node.parent];
+    const NodeId id = L[i - 1];
+    const Node &node = t.node(id);
+    if (node.parent != kNoParent) ix.parent[i] = lpos[node.parent];
     ix.childStart[i] = static_cast<u32>(ix.childIds.size());
-    for (const NodeId c : node.children) ix.childIds.push_back(L.pos[c]);
+    for (NodeId c = node.firstChild; c != kNoNode; c = t.node(c).nextSibling)
+      ix.childIds.push_back(lpos[c]);
     ix.childStart[i + 1] = static_cast<u32>(ix.childIds.size());
     const auto ch = ix.children(i);
 
@@ -411,16 +391,14 @@ TreeIndex buildIndex(const Tree &t, const std::function<u32(const std::string &)
     // child's own relevant forest merges into u's extended span, every
     // other child keeps its keyroots.
     u32 size = 1;
-    u64 fp = fnv1a(node.label);
     u64 sumL = 0, sumR = 0;
     for (const u32 c : ch) {
       size += ix.sz[c];
-      fp = hashCombine(fp, ix.fp[c]);
       sumL += ix.krSumLeft[c];
       sumR += ix.krSumRight[c];
     }
     ix.sz[i] = size;
-    ix.fp[i] = fp;
+    ix.fp[i] = hashes[id];
     ix.krSumLeft[i] = lspan(i) + sumL - (ch.empty() ? 0 : lspan(ch.front()));
     ix.krSumRight[i] = rspan(i) + sumR - (ch.empty() ? 0 : rspan(ch.back()));
   }

@@ -1,8 +1,6 @@
 #include "tree/tedbounds.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <unordered_map>
 
 #include "support/hash.hpp"
 
@@ -15,9 +13,14 @@ namespace {
 /// only lower the L1 — the bound stays admissible.
 constexpr u64 kEps = 0;
 
-std::vector<std::pair<u64, u32>> sortedCounts(std::unordered_map<u64, u32> &&counts) {
-  std::vector<std::pair<u64, u32>> out(counts.begin(), counts.end());
-  std::sort(out.begin(), out.end());
+/// The multiset `keys` as (key, count) pairs, sorted by key.
+std::vector<std::pair<u64, u32>> sortedCounts(std::vector<u64> keys) {
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::pair<u64, u32>> out;
+  for (const u64 k : keys) {
+    if (out.empty() || out.back().first != k) out.emplace_back(k, 0);
+    ++out.back().second;
+  }
   return out;
 }
 
@@ -49,70 +52,25 @@ MultisetDiff diffCounts(const std::vector<std::pair<u64, u32>> &a,
   return d;
 }
 
-msgpack::Array countsToMsg(const std::vector<std::pair<u64, u32>> &counts) {
-  msgpack::Array arr;
-  arr.reserve(counts.size() * 2);
-  for (const auto &[hash, count] : counts) {
-    arr.emplace_back(std::bit_cast<i64>(hash));
-    arr.emplace_back(count);
-  }
-  return arr;
-}
-
-std::vector<std::pair<u64, u32>> countsFromMsg(const msgpack::Value &v) {
-  const auto &arr = v.asArray();
-  std::vector<std::pair<u64, u32>> out;
-  out.reserve(arr.size() / 2);
-  for (usize i = 0; i + 1 < arr.size(); i += 2)
-    out.emplace_back(std::bit_cast<u64>(arr[i].asInt()), static_cast<u32>(arr[i + 1].asInt()));
-  return out;
-}
-
 } // namespace
-
-msgpack::Value BoundSignature::toMsgpack() const {
-  msgpack::Map m;
-  m.emplace("n", static_cast<i64>(n));
-  m.emplace("labels", countsToMsg(labelHist));
-  m.emplace("branches", countsToMsg(branchProfile));
-  return msgpack::Value(std::move(m));
-}
-
-BoundSignature BoundSignature::fromMsgpack(const msgpack::Value &v) {
-  BoundSignature s;
-  s.n = static_cast<u64>(v.at("n").asInt());
-  s.labelHist = countsFromMsg(v.at("labels"));
-  s.branchProfile = countsFromMsg(v.at("branches"));
-  return s;
-}
 
 BoundSignature boundSignature(const Tree &t) {
   BoundSignature s;
   s.n = t.size();
   if (s.n == 0) return s;
 
-  // Per-node label hashes first, so branch triples can read children and
-  // siblings in any order.
-  std::vector<u64> labelHash(t.size());
-  for (usize id = 0; id < t.size(); ++id) labelHash[id] = fnv1a(t.node(id).label);
-
-  std::unordered_map<u64, u32> labels;
-  std::unordered_map<u64, u32> branches;
-  labels.reserve(t.size());
-  branches.reserve(t.size());
-  for (usize id = 0; id < t.size(); ++id) {
-    const auto &node = t.node(id);
-    ++labels[labelHash[id]];
+  const auto &table = LabelTable::global();
+  const auto labelHash = [&](NodeId id) {
+    return id == kNoNode ? kEps : table.hash(t.node(id).labelId);
+  };
+  std::vector<u64> labels(t.size()), branches(t.size());
+  for (NodeId id = 0; id < t.size(); ++id) {
+    const Node &node = t.node(id);
+    labels[id] = labelHash(id);
     // Binary-branch triple (label, first child, next sibling) — the node's
     // neighbourhood in the left-child/right-sibling binary transform.
-    const u64 firstChild = node.children.empty() ? kEps : labelHash[node.children.front()];
-    u64 nextSibling = kEps;
-    if (node.parent != kNoParent) {
-      const auto &siblings = t.node(node.parent).children;
-      const auto it = std::find(siblings.begin(), siblings.end(), static_cast<NodeId>(id));
-      if (it != siblings.end() && it + 1 != siblings.end()) nextSibling = labelHash[*(it + 1)];
-    }
-    ++branches[hashCombine(hashCombine(labelHash[id], firstChild), nextSibling)];
+    branches[id] = hashCombine(hashCombine(labels[id], labelHash(node.firstChild)),
+                               labelHash(node.nextSibling));
   }
   s.labelHist = sortedCounts(std::move(labels));
   s.branchProfile = sortedCounts(std::move(branches));

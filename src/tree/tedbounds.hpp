@@ -23,10 +23,10 @@
 // All three are admissible by construction (each underestimates the cost
 // of the *optimal* script), so max() of them is too — the fuzz oracle
 // `lb` and tests/tree/tedbounds_test.cpp assert lb <= exact on generated
-// and corpus trees. Labels enter signatures as fnv1a hashes, not interner
-// ids, so signatures persist across processes (the codebase DB stores one
-// per unit tree); a hash collision can only merge two histogram buckets,
-// which lowers the computed bound — admissibility survives.
+// and corpus trees. Labels enter as their LabelTable fnv1a hashes, never
+// as schedule-dependent ids. The codebase DB derives signatures on load,
+// so a file cannot forge a bound. A hash collision can only merge two
+// histogram buckets, which lowers the bound — admissibility survives.
 #pragma once
 
 #include "tree/ted.hpp"
@@ -41,13 +41,9 @@ struct BoundSignature {
   std::vector<std::pair<u64, u32>> branchProfile;   ///< (branch-triple hash, count), sorted
 
   bool operator==(const BoundSignature &) const = default;
-
-  /// MessagePack round-trip, used by the Codebase DB per-unit persistence.
-  [[nodiscard]] msgpack::Value toMsgpack() const;
-  static BoundSignature fromMsgpack(const msgpack::Value &v);
 };
 
-/// Build the signature in one post-order pass plus two sorts.
+/// Build the signature in one pass over the nodes plus two sorts.
 [[nodiscard]] BoundSignature boundSignature(const Tree &t);
 
 /// |n1-n2| * (del or ins, whichever operation the imbalance forces).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <shared_mutex>
 #include <tuple>
 #include <unordered_map>
 
@@ -12,26 +11,6 @@
 namespace sv::tree {
 
 namespace {
-
-/// Global label id space: the DP inner loop compares u32s, not strings, and
-/// interning happens once per distinct tree instead of once per pair. Ids
-/// are append-only so views built at different times remain comparable.
-class LabelInterner {
-public:
-  u32 intern(const std::string &s) {
-    {
-      std::shared_lock lock(mutex_);
-      const auto it = ids_.find(s);
-      if (it != ids_.end()) return it->second;
-    }
-    std::unique_lock lock(mutex_);
-    return ids_.emplace(s, static_cast<u32>(ids_.size())).first->second;
-  }
-
-private:
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, u32> ids_;
-};
 
 /// Memo key for one unordered tree pair under fixed costs. ted(a, b,
 /// {del, ins, ren}) == ted(b, a, {ins, del, ren}) — reversing an edit
@@ -78,8 +57,6 @@ struct ViewKeyHash {
 } // namespace
 
 struct TedEngine::Impl {
-  LabelInterner interner;
-
   mutable std::mutex viewMutex;
   std::unordered_map<ViewKey, std::shared_ptr<const apted::TreeIndex>, ViewKeyHash> viewCache;
 
@@ -116,8 +93,7 @@ std::shared_ptr<const apted::TreeIndex> TedEngine::views(const Tree &t) {
   }
   // Build outside the lock: a racing builder of the same tree just produces
   // an equivalent view and the first insertion wins.
-  auto built = std::make_shared<const apted::TreeIndex>(
-      apted::buildIndex(t, [this](const std::string &s) { return impl_->interner.intern(s); }));
+  auto built = std::make_shared<const apted::TreeIndex>(apted::buildIndex(t));
   impl_->viewMisses.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(impl_->viewMutex);
   return impl_->viewCache.emplace(key, std::move(built)).first->second;
@@ -139,7 +115,7 @@ u64 TedEngine::ted(const Tree &a, const Tree &b, const TedOptions &options) {
   const apted::TreeIndex &ib = *vb;
 
   // Whole-tree equality: identical units (shared headers, unchanged
-  // kernels) answer in the O(n) it took to fingerprint them.
+  // kernels) answer from the cached fingerprints.
   if (ia.fp[ia.n] == ib.fp[ib.n] && ia.n == ib.n) {
     impl_->wholeTreeShortcuts.fetch_add(1, std::memory_order_relaxed);
     return 0;

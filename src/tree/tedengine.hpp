@@ -1,17 +1,18 @@
 // Shared-view TED engine (the perf layer over tree/ted, Section VII): the
 // pairwise TED calls over the cartesian product of model ports dominate
 // end-to-end runtime, and the uncached `tree::ted()` re-indexes both trees
-// and re-interns every label string per comparison. The engine makes each
-// pair cheap by precomputing per-tree structure once:
+// per comparison. The engine makes each pair cheap by precomputing
+// per-tree structure once:
 //
-//  * a thread-safe global label interner (ids are append-only, so indices
-//    built at different times stay comparable);
 //  * a per-tree cached view — one `apted::TreeIndex` (both decomposition
 //    orientations, keyroot sums, Merkle subtree fingerprints) — built once
-//    and shared across all O(M^2 * U) comparisons. Views are keyed by
-//    (structural fingerprint, node count), so byte-identical trees (shared
-//    headers across model ports) share one view;
-//  * an O(min(n1, n2)) whole-tree equality short-circuit (`ted == 0`);
+//    and shared across all O(M^2 * U) comparisons. Labels are the trees'
+//    own LabelTable ids (tree/tree.hpp), so the engine interns nothing.
+//    Views are keyed by (structural fingerprint, node count), so
+//    byte-identical trees (shared headers across model ports) share one
+//    view; the tree caches its fingerprint, so a view hit, a memo hit and
+//    the whole-tree shortcut do O(1) work in tree size;
+//  * a whole-tree equality short-circuit (`ted == 0`);
 //  * a symmetric pair memo keyed on (fingerprint, fingerprint, costs):
 //    ted(a, b, {del, ins, ren}) == ted(b, a, {ins, del, ren}), so
 //    diverge(a, b) and diverge(b, a) share the TED work and only the
@@ -87,16 +88,15 @@ public:
   [[nodiscard]] u64 ted(const Tree &a, const Tree &b, const TedOptions &options = {});
 
   /// The shared Apted index of `t` (both orientations, canonical ids,
-  /// keyroot sums, subtree fingerprints; labels through the engine's global
-  /// interner), building it on first use. Keyed by (fingerprint, size):
+  /// keyroot sums, subtree fingerprints), building it on first use. Keyed by (fingerprint, size):
   /// structurally identical trees share. `fp[n] == t.fingerprint()` for a
   /// non-empty tree.
   [[nodiscard]] std::shared_ptr<const apted::TreeIndex> views(const Tree &t);
 
   [[nodiscard]] EngineStats stats() const;
 
-  /// Drop cached views, memo entries and stats. The label interner is kept:
-  /// ids are append-only, so views still held by callers stay valid.
+  /// Drop cached views, memo entries and stats. Label ids are append-only
+  /// (LabelTable), so views still held by callers stay valid.
   void clear();
 
 private:

@@ -9,6 +9,7 @@
 
 #include "corpus/corpus.hpp"
 #include "db/codebase.hpp"
+#include "metrics/query.hpp"
 #include "minic/parser.hpp"
 #include "minic/preprocessor.hpp"
 #include "minic/sema.hpp"
@@ -193,15 +194,17 @@ TEST(FailureInjection, CorruptedDbRejected) {
 
 TEST(FailureInjection, CorruptTreeColumnsAreParseErrors) {
   // A structurally broken parents column in an otherwise well-formed .svdb:
-  // second root, self-parent, parented root.
+  // second root, self-parent, parented root, a parent numbered after its
+  // child (every writer numbers parents first).
   const auto bytes = db::index(corpus::make("babelstream", "serial")).db.serialise();
   const auto decoded = msgpack::decode(svz::decompress(bytes));
-  for (const auto &parents : {msgpack::Array{-1, -1}, msgpack::Array{-1, 1}, msgpack::Array{1, 0}}) {
+  for (const auto &parents : {msgpack::Array{-1, -1, 0}, msgpack::Array{-1, 1, 0},
+                              msgpack::Array{1, 0, 0}, msgpack::Array{-1, 2, 0}}) {
     msgpack::Map tree;
-    tree.emplace("labels", msgpack::Array{"a", "b"});
+    tree.emplace("labels", msgpack::Array{"a", "b", "c"});
     tree.emplace("parents", parents);
-    tree.emplace("files", msgpack::Array{0, 0});
-    tree.emplace("lines", msgpack::Array{1, 2});
+    tree.emplace("files", msgpack::Array{0, 0, 0});
+    tree.emplace("lines", msgpack::Array{1, 2, 3});
     auto root = decoded.asMap();
     auto units = root.at("units").asArray();
     auto unit = units.at(0).asMap();
@@ -210,7 +213,52 @@ TEST(FailureInjection, CorruptTreeColumnsAreParseErrors) {
     root.at("units") = msgpack::Value(std::move(units));
     const auto corrupt = svz::compress(msgpack::encode(msgpack::Value(std::move(root))));
     EXPECT_THROW((void)db::CodebaseDb::deserialise(corrupt), ParseError)
-        << parents[0].asInt() << "," << parents[1].asInt();
+        << parents[0].asInt() << "," << parents[1].asInt() << "," << parents[2].asInt();
+  }
+}
+
+TEST(FailureInjection, ForgedSignaturesCannotPruneAMember) {
+  // Older DBs stored per-unit bound signatures under "sigs". A file whose
+  // "sigs" are cut short, or claim the wrong node counts, must load with
+  // the signatures of its own trees: a forged bound above the exact
+  // distance would prune the DB's clean copy from a radius-0 query.
+  const auto clean = db::index(corpus::make("babelstream", "serial")).db;
+  const auto bytes = clean.serialise();
+  const auto sig = [](i64 n) {
+    msgpack::Map m;
+    m.emplace("n", n);
+    m.emplace("labels", msgpack::Array{});
+    m.emplace("branches", msgpack::Array{});
+    return msgpack::Value(std::move(m));
+  };
+  const msgpack::Array truncated{sig(1), sig(1)};
+  const msgpack::Array wrongN(5, sig(1000000));
+  for (const auto &sigs : {truncated, wrongN}) {
+    auto root = msgpack::decode(svz::decompress(bytes)).asMap();
+    auto units = root.at("units").asArray();
+    for (auto &u : units) {
+      auto unit = u.asMap();
+      unit.insert_or_assign("sigs", msgpack::Value(sigs));
+      u = msgpack::Value(std::move(unit));
+    }
+    root.at("units") = msgpack::Value(std::move(units));
+    const auto forged = db::CodebaseDb::deserialise(
+        svz::compress(msgpack::encode(msgpack::Value(std::move(root)))));
+    ASSERT_EQ(forged.units.size(), clean.units.size());
+    for (usize i = 0; i < clean.units.size(); ++i) {
+      const auto &f = forged.units[i];
+      const auto &c = clean.units[i];
+      EXPECT_EQ(f.sigTsrc, c.sigTsrc) << sigs.size();
+      EXPECT_EQ(f.sigTsrcPp, c.sigTsrcPp) << sigs.size();
+      EXPECT_EQ(f.sigTsem, c.sigTsem) << sigs.size();
+      EXPECT_EQ(f.sigTsemI, c.sigTsemI) << sigs.size();
+      EXPECT_EQ(f.sigTir, c.sigTir) << sigs.size();
+    }
+    EXPECT_EQ(metrics::divergenceLowerBound(forged, clean, metrics::Metric::Tsem), 0u);
+    const auto members = metrics::rangeDivergence(forged, {&clean}, 0, metrics::Metric::Tsem);
+    ASSERT_EQ(members.size(), 1u) << sigs.size();
+    EXPECT_EQ(members[0].index, 0u);
+    EXPECT_EQ(members[0].distance, 0u);
   }
 }
 

@@ -18,11 +18,18 @@ struct BruteForce {
   TedCosts costs;
   std::map<std::pair<Forest, Forest>, u64> memo;
 
+  static Forest children(const Tree &t, NodeId r) {
+    Forest out;
+    for (NodeId c = t.node(r).firstChild; c != kNoNode; c = t.node(c).nextSibling)
+      out.push_back(c);
+    return out;
+  }
+
   u64 forestSize(const Tree &t, const Forest &f) {
     u64 n = 0;
     for (const NodeId r : f) {
       n += 1;
-      n += forestSize(t, t.node(r).children);
+      n += forestSize(t, children(t, r));
     }
     return n;
   }
@@ -43,19 +50,21 @@ struct BruteForce {
       const NodeId ra = fa.back();
       const NodeId rb = fb.back();
       // delete ra: its children join the forest.
+      const Forest ca = children(a, ra), cb = children(b, rb);
       Forest faDel(fa.begin(), fa.end() - 1);
-      faDel.insert(faDel.end(), a.node(ra).children.begin(), a.node(ra).children.end());
+      faDel.insert(faDel.end(), ca.begin(), ca.end());
       best = dist(faDel, fb) + costs.del;
       // insert rb
       Forest fbIns(fb.begin(), fb.end() - 1);
-      fbIns.insert(fbIns.end(), b.node(rb).children.begin(), b.node(rb).children.end());
+      fbIns.insert(fbIns.end(), cb.begin(), cb.end());
       best = std::min(best, dist(fa, fbIns) + costs.ins);
       // match ra with rb: subtree-vs-subtree plus remainder-vs-remainder.
+      // Labels compare as text, not LabelTable ids, so a label-table fault
+      // cannot hide from this oracle.
       Forest faRest(fa.begin(), fa.end() - 1);
       Forest fbRest(fb.begin(), fb.end() - 1);
       const u64 rename = a.node(ra).label == b.node(rb).label ? 0 : costs.rename;
-      best = std::min(best, dist(faRest, fbRest) +
-                                dist(a.node(ra).children, b.node(rb).children) + rename);
+      best = std::min(best, dist(faRest, fbRest) + dist(ca, cb) + rename);
     }
     memo.emplace(key, best);
     return best;

@@ -2,7 +2,6 @@
 
 #include <random>
 #include <string>
-#include <unordered_map>
 
 #include "bruteforce.hpp"
 #include "tree/ted.hpp"
@@ -44,9 +43,8 @@ Tree mirrored(const Tree &t) {
   std::vector<std::pair<NodeId, NodeId>> queue{{0, 0}}; // (src, dst)
   for (usize q = 0; q < queue.size(); ++q) {
     const auto [src, dst] = queue[q];
-    const auto &ch = t.node(src).children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it)
-      queue.emplace_back(*it, out.addChild(dst, t.node(*it).label));
+    for (NodeId c = t.node(src).lastChild; c != kNoNode; c = t.node(c).prevSibling)
+      queue.emplace_back(c, out.addChild(dst, t.node(c).label));
   }
   return out;
 }
@@ -191,7 +189,7 @@ TEST_P(TedPropertySweep, AlgorithmsAgreeAndAxiomsHold) {
 
     // Injective relabel invariance: a bijection on the label alphabet leaves
     // every equal/unequal comparison, hence the distance, unchanged.
-    const auto tag = [](const std::string &s) { return s + "#t"; };
+    const auto tag = [](std::string_view s) { return std::string(s) + "#t"; };
     EXPECT_EQ(ab, tedAP(a.relabel(tag), b.relabel(tag))) << "seed=" << seed;
   }
 }
@@ -231,16 +229,12 @@ TEST(Ted, StrategyCostNeverExceedsWholeTreeOrientations) {
   // all-LeftA plan unrolls to exactly the Zhang–Shasha left decomposition
   // cost (the root keyroot sums), and likewise for the other uniform
   // choices.
-  std::unordered_map<std::string, u32> ids;
-  const auto intern = [&ids](const std::string &s) {
-    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
-  };
   for (u32 seed = 0; seed < 8; ++seed) {
     std::mt19937 rng(seed);
     const auto a = randomTree(seed * 2 + 101, 10 + rng() % 80);
     const auto b = randomTree(seed * 2 + 102, 10 + rng() % 80);
-    const auto ia = apted::buildIndex(a, intern);
-    const auto ib = apted::buildIndex(b, intern);
+    const auto ia = apted::buildIndex(a);
+    const auto ib = apted::buildIndex(b);
     const auto strat = apted::computeStrategy(ia, ib);
     const u64 left = ia.krSumLeft[ia.n] * ib.krSumLeft[ib.n];
     const u64 right = ia.krSumRight[ia.n] * ib.krSumRight[ib.n];
@@ -252,14 +246,10 @@ TEST(Ted, StrategyCostNeverExceedsWholeTreeOrientations) {
 TEST(Ted, RunCountersMatchStrategyCost) {
   // Without block reuse, the executed forest-DP cell count equals the
   // strategy DP's predicted subproblem total — the cost model is exact.
-  std::unordered_map<std::string, u32> ids;
-  const auto intern = [&ids](const std::string &s) {
-    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
-  };
   const auto a = randomTree(41, 60);
   const auto b = randomTree(42, 70);
-  const auto ia = apted::buildIndex(a, intern);
-  const auto ib = apted::buildIndex(b, intern);
+  const auto ia = apted::buildIndex(a);
+  const auto ib = apted::buildIndex(b);
   const auto strat = apted::computeStrategy(ia, ib);
   apted::RunCounters rc;
   const u64 d = apted::run(ia, ib, strat, {}, /*reuseBlocks=*/false, &rc);
@@ -353,17 +343,13 @@ TEST(TedCellWidth, CutoffAbandonIsExactAtBothWidths) {
 }
 
 TEST(TedKernelIsa, BaselineMatchesNativeCellForCell) {
-  std::unordered_map<std::string, u32> ids;
-  const auto intern = [&ids](const std::string &s) {
-    return ids.emplace(s, static_cast<u32>(ids.size())).first->second;
-  };
   for (const TedCosts &costs : {TedCosts{}, TedCosts{2, 3, 4}, wideCosts(2)}) {
     for (u32 seed = 0; seed < 6; ++seed) {
       std::mt19937 rng(seed);
       const auto a = randomTree(seed * 2 + 601, 10 + rng() % 70);
       const auto b = randomTree(seed * 2 + 602, 10 + rng() % 70);
-      const auto ia = apted::buildIndex(a, intern);
-      const auto ib = apted::buildIndex(b, intern);
+      const auto ia = apted::buildIndex(a);
+      const auto ib = apted::buildIndex(b);
       std::vector<u64> native, baseline;
       {
         const ScopedIsa scoped(Isa::Native);

@@ -95,16 +95,6 @@ TEST(TedBounds, LowerBoundIsMaxOfThree) {
   EXPECT_EQ(tedLowerBound(sa, sb, costs), expected);
 }
 
-TEST(TedBounds, MsgpackRoundTrip) {
-  const auto t = randomTree(9, 35);
-  const auto sig = boundSignature(t);
-  const auto back = BoundSignature::fromMsgpack(sig.toMsgpack());
-  EXPECT_EQ(back, sig);
-  // Empty tree round-trips too (all-empty signature).
-  const BoundSignature empty;
-  EXPECT_EQ(BoundSignature::fromMsgpack(empty.toMsgpack()), empty);
-}
-
 TEST(TedBounds, CutoffReturnsMinOfExactAndCutoff) {
   for (u32 seed = 1; seed <= 8; ++seed) {
     const auto a = randomTree(seed, 12 + seed * 4);
